@@ -10,9 +10,9 @@
 //
 // Usage:
 //
-//	diagnosed [-addr 127.0.0.1:7133] [-registry 8] [-window 2ms]
+//	diagnosed [-addr 127.0.0.1:7133] [-registry 8] [-window 0]
 //	          [-max-batch 64] [-workers N] [-cache 1024]
-//	          [-preload q:14,implicit:q:20]
+//	          [-preload q:14 -preload implicit:q:20]
 //
 // Diagnose one hypothesis:
 //
@@ -27,8 +27,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -40,60 +42,77 @@ import (
 	"comparisondiag/internal/serve"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:7133", "listen address (host:port; port 0 picks a free port)")
-	registryCap := flag.Int("registry", 8, "bound-engine LRU capacity")
-	window := flag.Duration("window", 2*time.Millisecond, "coalescing window (0 disables coalescing)")
-	maxBatch := flag.Int("max-batch", 64, "flush a window early at this many distinct pending requests")
-	workers := flag.Int("workers", 0, "worker-pool size per engine (0 = GOMAXPROCS)")
-	cacheCap := flag.Int("cache", 1024, "per-engine result-cache capacity (0 disables caching)")
-	noShareCert := flag.Bool("no-share-cert", false, "disable shared certification in coalesced batches (ablation)")
-	noShareFinal := flag.Bool("no-share-final", false, "disable shared final prefixes in coalesced batches (ablation)")
-	preload := flag.String("preload", "", "comma-separated specs to bind at startup (prefix implicit: for descriptor binding)")
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	addr    string
+	cfg     serve.Config
+	preload []string
+}
 
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "diagnosed: "+format+"\n", args...)
-		flag.Usage()
+// parseArgs turns the command-line arguments into options. Flag errors
+// and rejected values are printed to out with the usage text and
+// returned; main exits 2 on them.
+func parseArgs(args []string, out io.Writer) (options, error) {
+	fs := flag.NewFlagSet("diagnosed", flag.ContinueOnError)
+	fs.SetOutput(out)
+	var o options
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7133", "listen address (host:port; port 0 picks a free port)")
+	fs.IntVar(&o.cfg.RegistryCap, "registry", 8, "bound-engine LRU capacity")
+	fs.DurationVar(&o.cfg.Window, "window", 0, "opt-in linger: how long a request that finds a worker free waits for company (0 = dispatch at once)")
+	fs.IntVar(&o.cfg.MaxBatch, "max-batch", 64, "most distinct requests in one batch (1 turns coalescing off)")
+	fs.IntVar(&o.cfg.Workers, "workers", 0, "worker-pool size per engine, also its concurrent batch limit (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cfg.CacheCap, "cache", 1024, "per-engine result-cache capacity (0 disables caching)")
+	fs.BoolVar(&o.cfg.NoShareCert, "no-share-cert", false, "disable shared certification in coalesced batches (ablation)")
+	fs.BoolVar(&o.cfg.NoShareFinal, "no-share-final", false, "disable shared final prefixes in coalesced batches (ablation)")
+	fs.Func("preload", "spec to bind at startup, repeatable or comma-separated (prefix implicit: for descriptor binding)", func(v string) error {
+		for _, spec := range strings.Split(v, ",") {
+			if spec = strings.TrimSpace(spec); spec != "" {
+				o.preload = append(o.preload, spec)
+			}
+		}
+		return nil
+	})
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected arguments: %v", fs.Args())
+	case o.cfg.RegistryCap < 1:
+		err = errors.New("-registry must be ≥ 1")
+	case o.cfg.Window < 0:
+		err = errors.New("-window must be ≥ 0")
+	case o.cfg.MaxBatch < 1:
+		err = errors.New("-max-batch must be ≥ 1")
+	case o.cfg.Workers < 0:
+		err = errors.New("-workers must be ≥ 0")
+	case o.cfg.CacheCap < 0:
+		err = errors.New("-cache must be ≥ 0")
+	}
+	if err != nil {
+		fmt.Fprintf(out, "diagnosed: %v\n", err)
+		fs.Usage()
+		return options{}, err
+	}
+	if o.cfg.CacheCap == 0 {
+		o.cfg.CacheCap = -1 // serve.Config: negative disables, 0 means default
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-	if flag.NArg() > 0 {
-		fail("unexpected arguments: %v", flag.Args())
-	}
-	if *registryCap < 1 {
-		fail("-registry must be ≥ 1")
-	}
-	if *window < 0 {
-		fail("-window must be ≥ 0")
-	}
-	if *maxBatch < 1 {
-		fail("-max-batch must be ≥ 1")
-	}
-	if *workers < 0 {
-		fail("-workers must be ≥ 0")
-	}
-	if *cacheCap < 0 {
-		fail("-cache must be ≥ 0")
-	}
 
-	cfg := serve.Config{
-		RegistryCap: *registryCap,
-		Window:      *window,
-		NoCoalesce:  *window == 0,
-		MaxBatch:    *maxBatch,
-		Workers:     *workers,
-		CacheCap:    *cacheCap,
-		NoShareCert: *noShareCert, NoShareFinal: *noShareFinal,
-	}
-	if *cacheCap == 0 {
-		cfg.CacheCap = -1 // serve.Config: negative disables, 0 means default
-	}
-	srv := serve.New(cfg)
-	for _, spec := range strings.Split(*preload, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
+	srv := serve.New(o.cfg)
+	for _, spec := range o.preload {
 		if err := srv.Preload(spec); err != nil {
 			fmt.Fprintf(os.Stderr, "diagnosed: preload %s: %v\n", spec, err)
 			os.Exit(1)
@@ -101,7 +120,7 @@ func main() {
 		fmt.Printf("preloaded %s\n", spec)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "diagnosed: listen: %v\n", err)
 		os.Exit(1)
@@ -118,7 +137,7 @@ func main() {
 	}()
 
 	fmt.Printf("diagnosed listening on http://%s (registry %d, window %v, max-batch %d, cache %d)\n",
-		ln.Addr(), *registryCap, *window, *maxBatch, *cacheCap)
+		ln.Addr(), o.cfg.RegistryCap, o.cfg.Window, o.cfg.MaxBatch, max(o.cfg.CacheCap, 0))
 	err = hs.Serve(ln)
 	// Serve returns ErrServerClosed on Shutdown; drain the coalescers
 	// and worker pools either way.

@@ -403,8 +403,9 @@ type (
 	// Prometheus /metrics exporter (see docs/service.md). It implements
 	// http.Handler.
 	Service = serve.Server
-	// ServiceConfig tunes a Service (registry cap, coalescing window,
-	// batch ceiling, per-engine cache and pool sizes).
+	// ServiceConfig tunes a Service (registry cap, opt-in linger
+	// window, batch ceiling, per-engine cache and pool sizes; the pool
+	// size also caps concurrent batches).
 	ServiceConfig = serve.Config
 	// ServiceSnapshot is the programmatic form of /metrics.
 	ServiceSnapshot = serve.Snapshot

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
 	"comparisondiag/internal/topology"
 )
@@ -105,4 +107,84 @@ func TestScratchResultsMatchAllocatingAPI(t *testing.T) {
 			t.Fatalf("trial %d: lookups differ: %d vs %d", trial, s1.Lookups(), s2.Lookups())
 		}
 	}
+}
+
+// TestParallelFinalWarmZeroAllocs pins the fan-out half of the hot-path
+// contract: a warm FinalWorkers pass on a kernel-bound engine runs its
+// word-split rounds on the persistent crew with per-worker state held
+// in the scratch, so it allocates nothing per call.
+func TestParallelFinalWarmZeroAllocs(t *testing.T) {
+	setGOMAXPROCS(t, 4)
+	const bitsN = 14
+	masks := make([]int32, bitsN)
+	for i := range masks {
+		masks[i] = 1 << uint(i)
+	}
+	eng, err := NewCayleyEngine(graph.XORCayley{Bits: bitsN, Masks: masks}, bitsN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	F := syndrome.RandomFaults(1<<bitsN, bitsN, rand.New(rand.NewSource(1)))
+	s := syndrome.NewLazy(F, syndrome.Mimic{})
+	sc := eng.AcquireScratch()
+	defer eng.ReleaseScratch(sc)
+	opt := Options{Scratch: sc, FinalWorkers: 4}
+	// Blocking on the crew's channel and wait group can make the runtime
+	// refill its goroutine-parking cache now and then, a fraction of an
+	// allocation per call; a per-call allocation (a goroutine closure, a
+	// shard, a buffer) shows up as at least one.
+	allocs := mallocsPerRun(50, func() {
+		got, st, err := eng.DiagnoseOpts(s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(F) || st.FinalWorkersUsed != 4 {
+			t.Fatalf("misdiagnosis or clamped fan-out (FinalWorkersUsed %d)", st.FinalWorkersUsed)
+		}
+	})
+	if allocs >= 1 {
+		t.Fatalf("warm parallel DiagnoseOpts allocated %.2f objects/op, want 0", allocs)
+	}
+}
+
+// TestSetBuilderParallelWarmZeroAllocs is the same contract for the
+// generic barrier pass (engines without a word kernel): on a warm
+// scratch its rounds allocate nothing either.
+func TestSetBuilderParallelWarmZeroAllocs(t *testing.T) {
+	setGOMAXPROCS(t, 4)
+	nw := topology.NewHypercube(14)
+	g := nw.Graph()
+	delta := nw.Diagnosability()
+	F := syndrome.RandomFaults(g.N(), delta, rand.New(rand.NewSource(1)))
+	s := syndrome.NewLazy(F, syndrome.Mimic{})
+	seed := int32(0)
+	for F.Contains(int(seed)) {
+		seed++
+	}
+	sc := NewScratch(g.N())
+	want := SetBuilderInto(NewScratch(g.N()), g, syndrome.NewLazy(F, syndrome.Mimic{}), seed, delta, nil).U.Clone()
+	allocs := mallocsPerRun(50, func() {
+		r := setBuilderParallelInto(sc, g, s, seed, delta, nil, 4)
+		if !r.U.Equal(want) {
+			t.Fatal("parallel U differs from the sequential pass")
+		}
+	})
+	if allocs >= 1 {
+		t.Fatalf("warm setBuilderParallelInto allocated %.2f objects/op, want 0", allocs)
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin,
+// which would clamp a FinalWorkers request to the sequential pass: one
+// warm-up call, then the mean heap allocation count over runs calls.
+func mallocsPerRun(runs int, f func()) float64 {
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return float64(ms.Mallocs-before) / float64(runs)
 }

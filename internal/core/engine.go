@@ -587,6 +587,9 @@ type BatchResult struct {
 //
 // Each syndrome is driven by exactly one worker, so plain *syndrome.Lazy
 // syndromes are safe here; the syndromes themselves must be distinct.
+// With Options.ResultCache set, the first sighting of each hypothesis
+// and behaviour is diagnosed before its in-batch repeats, so every
+// repeat is served from the cache whatever the worker count.
 func (e *Engine) DiagnoseBatch(syndromes []syndrome.Syndrome, opt BatchOptions) []BatchResult {
 	results := make([]BatchResult, len(syndromes))
 	if len(syndromes) == 0 {
@@ -601,10 +604,40 @@ func (e *Engine) DiagnoseBatch(syndromes []syndrome.Syndrome, opt BatchOptions) 
 		e.diagnoseGrouped(b, pool, syndromes, opt, results)
 		return results
 	}
+	if opt.Options.ResultCache != nil {
+		// A repeat diagnosed while its first sighting still runs on
+		// another worker would miss the cache and pay in full.
+		firsts, repeats := splitRepeats(syndromes)
+		for _, idx := range [][]int{firsts, repeats} {
+			pool.RunScratch(len(idx), func(sc *Scratch, k int) {
+				results[idx[k]] = e.diagnoseOne(b, syndromes[idx[k]], opt.Options, sc)
+			})
+		}
+		return results
+	}
 	pool.RunScratch(len(syndromes), func(sc *Scratch, i int) {
 		results[i] = e.diagnoseOne(b, syndromes[i], opt.Options, sc)
 	})
 	return results
+}
+
+// splitRepeats partitions batch indices into the first sighting of
+// each result-cache key and the later sightings. Keys are compared by
+// hash alone: a collision only moves a syndrome to the second phase.
+func splitRepeats(syndromes []syndrome.Syndrome) (firsts, repeats []int) {
+	seen := make(map[uint64]struct{}, len(syndromes))
+	for i, s := range syndromes {
+		if l, ok := s.(*syndrome.Lazy); ok && cacheable(l) {
+			h := cacheHash(l.Faults(), l.Behavior(), 0, 0)
+			if _, dup := seen[h]; dup {
+				repeats = append(repeats, i)
+				continue
+			}
+			seen[h] = struct{}{}
+		}
+		firsts = append(firsts, i)
+	}
+	return firsts, repeats
 }
 
 // diagnoseGrouped implements BatchOptions.ShareCertification and

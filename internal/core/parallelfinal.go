@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"comparisondiag/internal/bitset"
 	"comparisondiag/internal/graph"
@@ -122,24 +121,13 @@ func setBuilderParallelInto(sc *Scratch, a graph.Adjacencer, s syndrome.Syndrome
 	}
 
 	// Per-worker syndrome views, admission buffers and neighbour
-	// buffers, reused across rounds. Shards are closed before the final
-	// count so the parent's Lookups is exact.
-	views := make([]syndrome.Syndrome, workers)
-	var shards []*syndrome.Shard
-	for w := range views {
-		if sh, ok := s.(syndrome.Sharder); ok {
-			shard := sh.Shard()
-			views[w] = shard
-			shards = append(shards, shard)
-		} else {
-			views[w] = syndrome.ForConcurrent(s)
-		}
-	}
-	admits := make([][]parallelAdmission, workers)
-	nbufs := make([][]int32, workers)
+	// buffers live in the scratch's round job, reused across rounds and
+	// calls. Shards are closed before the final count so the parent's
+	// Lookups is exact.
+	job := &sc.rounds
+	job.begin(s, workers)
 
 	added := sc.added
-	var wg sync.WaitGroup
 	// Barrier rounds break admission ties towards the least tester,
 	// which matches the sequential sweep only while the frontier is
 	// sorted; a faulty seed can scramble the U_1 frontier (see
@@ -174,43 +162,11 @@ func setBuilderParallelInto(sc *Scratch, a graph.Adjacencer, s syndrome.Syndrome
 		} else {
 			// Barrier round: workers scan disjoint frontier chunks against
 			// the round-start U (it only changes at the merge below).
-			nw := workers
-			if nw > len(frontier) {
-				nw = len(frontier)
-			}
-			chunk := (len(frontier) + nw - 1) / nw
-			work := frontier
-			wg.Add(nw)
-			for w := 0; w < nw; w++ {
-				lo := w * chunk
-				hi := min(lo+chunk, len(work))
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					buf := admits[w][:0]
-					nbuf := nbufs[w]
-					ws := views[w]
-					for _, u := range work[lo:hi] {
-						tu := res.Parent[u]
-						var nbrs []int32
-						nbrs, nbuf = neigh(u, nbuf)
-						for _, v := range nbrs {
-							if res.U.Contains(int(v)) || !in(v) {
-								continue
-							}
-							if ws.Test(u, v, tu) == 0 {
-								buf = append(buf, parallelAdmission{v: v, u: u})
-							}
-						}
-					}
-					admits[w] = buf
-					nbufs[w] = nbuf
-				}(w, lo, hi)
-			}
-			wg.Wait()
+			admits := job.barrierRound(a, offs, tgts, res.U, restrict, res.Parent, frontier, workers)
 			// Merge: the least tester answering 0 wins each node — the
 			// sequential tie-break, independent of worker scheduling.
-			for w := 0; w < nw; w++ {
-				for _, a := range admits[w] {
+			for _, adm := range admits {
+				for _, a := range adm {
 					if !added.Contains(int(a.v)) {
 						added.Add(int(a.v))
 						res.Parent[a.v] = a.u
@@ -250,9 +206,32 @@ func setBuilderParallelInto(sc *Scratch, a graph.Adjacencer, s syndrome.Syndrome
 		}
 	}
 	sc.frontier, sc.next = frontier, next
-	for _, sh := range shards {
-		sh.Close()
-	}
+	job.end(workers)
 	res.Lookups = s.Lookups() - start
 	return res
+}
+
+// barrierShard is one worker's chunk of a barrier round: test every
+// non-member neighbour of each frontier node against the round-start U
+// and record the 0-answers in buf.
+func barrierShard(a graph.Adjacencer, offs, tgts []int32, u, restrict *bitset.Set, parent, work []int32, s syndrome.Syndrome, buf []parallelAdmission, nbuf []int32) ([]parallelAdmission, []int32) {
+	for _, x := range work {
+		tx := parent[x]
+		var nbrs []int32
+		if offs != nil {
+			nbrs = tgts[offs[x]:offs[x+1]]
+		} else {
+			nbuf = a.AppendNeighbors(x, nbuf)
+			nbrs = nbuf
+		}
+		for _, v := range nbrs {
+			if u.Contains(int(v)) || (restrict != nil && !restrict.Contains(int(v))) {
+				continue
+			}
+			if s.Test(x, v, tx) == 0 {
+				buf = append(buf, parallelAdmission{v: v, u: x})
+			}
+		}
+	}
+	return buf, nbuf
 }

@@ -57,11 +57,9 @@ type Scratch struct {
 	// pass by diagnoseInto.
 	finalWorkers int
 
-	// pnext / pnbuf are the per-worker next-frontier and
-	// neighbour-generation buffers of parallel word-kernel rounds,
+	// rounds holds the per-worker state of parallel word-kernel rounds,
 	// grown on demand and reused across rounds and calls.
-	pnext [][]int32
-	pnbuf [][]int32
+	rounds roundJob
 }
 
 // NewScratch returns a Scratch for graphs on n nodes. The mask and
@@ -127,18 +125,6 @@ func (sc *Scratch) resetTree() {
 	if sc.fset != nil {
 		sc.fset.Clear()
 	}
-}
-
-// workerBufs returns the per-worker next-frontier and neighbour
-// buffers, grown to hold at least workers entries each.
-func (sc *Scratch) workerBufs(workers int) (pnext, pnbuf [][]int32) {
-	for len(sc.pnext) < workers {
-		sc.pnext = append(sc.pnext, nil)
-	}
-	for len(sc.pnbuf) < workers {
-		sc.pnbuf = append(sc.pnbuf, nil)
-	}
-	return sc.pnext, sc.pnbuf
 }
 
 // fsetBuf returns the reusable (empty) frontier-membership set.

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"comparisondiag/internal/graph"
 	"comparisondiag/internal/syndrome"
@@ -178,14 +177,9 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 	if !ranged || workers < 2 {
 		workers = 1
 	}
-	var shards []*syndrome.Shard
-	var wadm []int
+	job := &sc.rounds
 	if workers > 1 {
-		shards = make([]*syndrome.Shard, workers)
-		for i := range shards {
-			shards[i] = l.Shard()
-		}
-		wadm = make([]int, workers)
+		job.begin(l, workers)
 	}
 	// Contributor bookkeeping is deferred: the contributor set is
 	// exactly the set of parents, reconstructed in one pass at the end,
@@ -207,7 +201,7 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 				fw[u>>6] |= 1 << (uint(u) & 63)
 			}
 			if workers > 1 && len(frontier) >= parallelFrontierMin {
-				admitted = parallelKernelRound(rk, fw, uw, parent, shards, wadm, workers)
+				admitted = job.kernelRound(rk, fw, uw, parent, workers)
 			} else {
 				admitted = k.round(fw, uw, parent, l)
 			}
@@ -237,7 +231,7 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 			}
 			next = next[:0]
 			if workers > 1 && n-uCount >= parallelFrontierMin {
-				next, admitted = parallelComplementSweep(sc, a, offs, tgts, uw, fw, parent, shards, wadm, n, workers, next)
+				next, admitted = job.complementSweep(a, offs, tgts, uw, fw, parent, n, workers, next)
 			} else {
 				for wi, w := range uw {
 					inv := ^w
@@ -335,8 +329,8 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 		}
 	}
 	res.AllHealthy = res.Contributors.Count() > delta
-	for _, sh := range shards {
-		sh.Close()
+	if workers > 1 {
+		job.end(workers)
 	}
 	res.Lookups = l.Lookups() - start
 	if rec := sc.prefixRec; rec != nil {
@@ -346,74 +340,6 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 		sc.prefixRec = nil
 	}
 	return res
-}
-
-// parallelKernelRound fans one word-parallel kernel round out across
-// contiguous candidate-word ranges, fixed for the whole round: an
-// admission in one step must suppress the same candidate in every
-// later step, so word ownership cannot move mid-round. Results and
-// look-ups are bit-identical to the sequential round (rangedRounder).
-// It lives outside runWordKernel so the goroutine closures cannot
-// force the driver's hot-loop locals onto the heap on sequential
-// calls.
-func parallelKernelRound(rk rangedRounder, fw, uw []uint64, parent []int32, shards []*syndrome.Shard, wadm []int, workers int) int {
-	words := len(uw)
-	chunk := (words + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, words)
-		wadm[w] = 0
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			wadm[w] = rk.roundRange(fw, uw, parent, shards[w], lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	admitted := 0
-	for _, c := range wadm {
-		admitted += c
-	}
-	return admitted
-}
-
-// parallelComplementSweep fans one dense complement-walk round out
-// across candidate-word ranges. Membership is deferred until after the
-// walk even in the sequential sweep, so candidate words are independent
-// and the split keeps the test prefixes — and thus the look-up count —
-// bit-identical. Worker ranges ascend, so concatenating their next
-// buffers in worker order reproduces the sorted frontier.
-func parallelComplementSweep(sc *Scratch, a graph.Adjacencer, offs, tgts []int32, uw, fw []uint64, parent []int32, shards []*syndrome.Shard, wadm []int, n, workers int, next []int32) ([]int32, int) {
-	words := len(uw)
-	chunk := (words + workers - 1) / workers
-	pnext, pnbuf := sc.workerBufs(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, words)
-		wadm[w] = 0
-		pnext[w] = pnext[w][:0]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			pnext[w], pnbuf[w], wadm[w] = complementSweepShard(
-				a, offs, tgts, uw, fw, parent, shards[w], n, lo, hi, pnext[w], pnbuf[w])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	admitted := 0
-	for w := 0; w < workers; w++ {
-		admitted += wadm[w]
-		next = append(next, pnext[w]...)
-	}
-	return next, admitted
 }
 
 // complementSweepShard is one worker's slice of a parallel dense sweep

@@ -726,12 +726,13 @@ func churnFlapCase(n, k int) Result {
 // loopback HTTP: hyps × 8-behaviour concurrent clients POST
 // /v1/diagnose against a live serve.Server and the op completes when
 // every response has arrived and verified. With coalesce the server's
-// window gathers all of them into one grouped DiagnoseBatch call
-// (MaxBatch = the client count, so the last arrival — not the timer —
-// triggers the flush); the off twin diagnoses each request the moment
-// it arrives. The ns/op gap is what request coalescing buys a loaded
-// server; lookups/op (read from the server's own counter) shows the
-// shared-certification + shared-final-prefix bill shrinking.
+// opt-in linger window gathers all of them into one grouped
+// DiagnoseBatch call (MaxBatch = the client count, so the last arrival
+// — not the timer — triggers the flush); the off twin (MaxBatch 1)
+// diagnoses each request alone. The ns/op gap is what request
+// coalescing buys a loaded server; lookups/op (read from the server's
+// own counter) shows the shared-certification + shared-final-prefix
+// bill shrinking.
 //
 // Hypotheses are drawn by a deterministic seed scan that keeps only
 // fault sets whose solo diagnosis certifies the first part
@@ -773,7 +774,7 @@ func servedBatchCase(bits, hyps int, coalesce bool) Result {
 		CacheCap: -1, // no result cache: measure coalescing, not caching
 	}
 	if !coalesce {
-		cfg.NoCoalesce = true
+		cfg.MaxBatch = 1 // every request diagnosed alone
 	}
 	srv := serve.New(cfg)
 	if err := srv.Preload(spec); err != nil {

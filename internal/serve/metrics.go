@@ -27,6 +27,8 @@ type metrics struct {
 	widthMax  atomic.Int64 // widest batch observed
 	dedup     atomic.Int64 // requests folded onto an identical pending request
 
+	flushes [numTriggers]atomic.Int64 // coalescer flushes by trigger
+
 	lookups     atomic.Int64 // syndrome look-ups spent by served diagnoses
 	sharedFinal atomic.Int64 // look-ups inherited from shared final prefixes
 
@@ -70,15 +72,33 @@ type Snapshot struct {
 	LookupsPerSecond   float64
 	SharedFinalLookups int64
 
+	// Flushes counts coalescer flushes by trigger, which shows the mode
+	// the server runs in.
+	Flushes FlushCounts
+
 	Campaigns, CampaignPoints int64
 
-	// PendingRequests is the number of requests currently waiting in
-	// coalescing windows across all resident engines.
+	// PendingRequests is the number of requests currently lingering in
+	// a coalescing window or queued behind busy workers, across all
+	// resident engines.
 	PendingRequests int64
 
 	// Engines lists the resident registry entries, most recently used
 	// first.
 	Engines []EngineSnapshot
+}
+
+// FlushCounts splits the coalescer's flushes by what triggered them.
+type FlushCounts struct {
+	// Idle: a request found a worker free and dispatched at once.
+	Idle int64
+	// Drain: a finishing flight, or Close, took requests that queued
+	// while every worker was busy.
+	Drain int64
+	// Linger: the opt-in Config.Window timer expired.
+	Linger int64
+	// Full: MaxBatch distinct requests were pending with a worker free.
+	Full int64
 }
 
 // EngineSnapshot is the per-engine slice of a Snapshot.
@@ -109,6 +129,12 @@ func (m *metrics) snapshotCounters() Snapshot {
 		Campaigns:          m.campaigns.Load(),
 		CampaignPoints:     m.campaignPoints.Load(),
 	}
+	s.Flushes = FlushCounts{
+		Idle:   m.flushes[triggerIdle].Load(),
+		Drain:  m.flushes[triggerDrain].Load(),
+		Linger: m.flushes[triggerLinger].Load(),
+		Full:   m.flushes[triggerFull].Load(),
+	}
 	if s.Batches > 0 {
 		s.MeanBatchWidth = float64(m.widthSum.Load()) / float64(s.Batches)
 	}
@@ -136,6 +162,10 @@ func writePrometheus(w io.Writer, s Snapshot) {
 	counter("diagnosed_batches_total", "Coalesced DiagnoseBatch flushes.", s.Batches)
 	counter("diagnosed_coalesced_requests_total", "Requests served in batches of width > 1.", s.CoalescedRequests)
 	counter("diagnosed_dedup_hits_total", "Requests folded onto an identical pending request.", s.DedupHits)
+	fmt.Fprintf(w, "# HELP diagnosed_flushes_total Coalescer flushes by trigger: idle (a worker was free), drain (a finishing flight took queued requests), linger (the window expired), full (max-batch requests pending).\n# TYPE diagnosed_flushes_total counter\n")
+	for i, v := range [numTriggers]int64{s.Flushes.Idle, s.Flushes.Drain, s.Flushes.Linger, s.Flushes.Full} {
+		fmt.Fprintf(w, "diagnosed_flushes_total{trigger=%q} %d\n", triggerNames[i], v)
+	}
 	gauge("diagnosed_batch_width_max", "Widest coalesced batch observed.", float64(s.MaxBatchWidth))
 	gauge("diagnosed_batch_width_mean", "Mean coalesced batch width.", s.MeanBatchWidth)
 	counter("diagnosed_syndrome_lookups_total", "Syndrome look-ups spent by served diagnoses.", s.SyndromeLookups)
@@ -143,7 +173,7 @@ func writePrometheus(w io.Writer, s Snapshot) {
 	counter("diagnosed_shared_final_lookups_total", "Look-ups saved via shared final prefixes.", s.SharedFinalLookups)
 	counter("diagnosed_campaigns_total", "Campaign jobs accepted.", s.Campaigns)
 	counter("diagnosed_campaign_points_total", "Campaign sweep points streamed.", s.CampaignPoints)
-	gauge("diagnosed_pending_requests", "Requests waiting in coalescing windows.", float64(s.PendingRequests))
+	gauge("diagnosed_pending_requests", "Requests lingering in a coalescing window or queued behind busy workers.", float64(s.PendingRequests))
 	gauge("diagnosed_registry_engines", "Engines resident in the registry.", float64(len(s.Engines)))
 
 	labelled := func(name, help, typ string) {

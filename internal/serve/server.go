@@ -6,13 +6,14 @@
 //
 // The request path is: an engine registry keyed by topology spec
 // (lazy bind, CSR or implicit Cayley, bounded LRU of bound engines) →
-// a per-engine request coalescer (concurrent /v1/diagnose requests
-// within a short window become one Engine.DiagnoseBatch call, grouped
-// by fault hypothesis) → the engine's persistent worker pool. Answers
-// are bit-identical to solo Engine.Diagnose calls by the
-// DiagnoseBatch contract; coalescing changes the look-up bill, not
-// the verdicts. /v1/campaign streams sweep points as they finish, and
-// /metrics exports the whole stack's counters in Prometheus text.
+// a per-engine request coalescer (a request dispatches at once while a
+// pool worker is free; requests that arrive while every worker is busy
+// become one Engine.DiagnoseBatch call, grouped by fault hypothesis)
+// → the engine's persistent worker pool. Answers are bit-identical to
+// solo Engine.Diagnose calls by the DiagnoseBatch contract; coalescing
+// changes the look-up bill, not the verdicts. /v1/campaign streams
+// sweep points as they finish, and /metrics exports the whole stack's
+// counters in Prometheus text.
 package serve
 
 import (
@@ -41,21 +42,20 @@ type Config struct {
 	// down once in-flight requests drain — when a new spec binds past
 	// the cap.
 	RegistryCap int
-	// Window is the coalescing window: the first diagnose request of a
-	// quiet engine waits at most this long for company before its
-	// batch flushes (default 2ms). A batch also flushes as soon as
-	// MaxBatch distinct requests are pending, so a saturated server
-	// never waits out the window.
+	// Window is an opt-in linger (default 0, none). By default a
+	// diagnose request dispatches at once while the engine's pool has a
+	// free worker, and requests that arrive while every worker is busy
+	// are taken as one grouped batch by the next flight to finish
+	// (group commit). With Window > 0, a request that finds a worker
+	// free waits up to Window for company before its batch flushes.
 	Window time.Duration
-	// NoCoalesce disables the window entirely: every request is
-	// diagnosed the moment it arrives, as a width-1 batch. This is the
-	// ablation twin of the servedbatch benchmarks.
-	NoCoalesce bool
-	// MaxBatch flushes a window early once this many distinct requests
-	// are pending (default 64).
+	// MaxBatch caps the distinct requests in one batch (default 64); a
+	// lingering batch flushes early once this many are pending.
+	// MaxBatch 1 turns coalescing off: every request is diagnosed alone.
 	MaxBatch int
 	// Workers sizes each engine's persistent worker pool; ≤ 0 means
-	// GOMAXPROCS (see campaign.NewRuntime).
+	// GOMAXPROCS (see campaign.NewRuntime). It also caps the engine's
+	// concurrent DiagnoseBatch calls.
 	Workers int
 	// CacheCap is the per-engine result-cache capacity: 0 means the
 	// default (1024 outcomes), negative disables caching.
@@ -69,7 +69,6 @@ type Config struct {
 
 const (
 	defaultRegistryCap = 8
-	defaultWindow      = 2 * time.Millisecond
 	defaultMaxBatch    = 64
 	defaultCacheCap    = 1024
 )
@@ -90,12 +89,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.RegistryCap <= 0 {
 		cfg.RegistryCap = defaultRegistryCap
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = defaultWindow
-	}
-	if cfg.NoCoalesce {
-		cfg.Window = 0
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = defaultMaxBatch
@@ -119,10 +112,11 @@ func New(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close gracefully drains the server: new requests are refused with
-// 503, pending coalescing windows flush immediately so every accepted
-// request still receives its response, in-flight handlers (diagnoses
-// and campaign streams) run to completion, and then every engine's
-// worker pool shuts down. Idempotent.
+// 503, pending requests flush (lingering ones at once, queued ones as
+// busy workers free up) so every accepted request still receives its
+// response, in-flight handlers (diagnoses and campaign streams) run to
+// completion, and then every engine's worker pool shuts down.
+// Idempotent.
 func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -196,11 +190,7 @@ func (s *Server) buildEntry(key string) (*entry, error) {
 	}
 	rt := campaign.NewRuntime(eng, s.cfg.Workers)
 	e := &entry{key: key, eng: eng, cache: cache, rt: rt}
-	window := s.cfg.Window
-	if s.cfg.NoCoalesce {
-		window = 0
-	}
-	e.co = newCoalescer(eng, rt, cache, window, s.cfg.MaxBatch,
+	e.co = newCoalescer(eng, rt, cache, s.cfg.Window, s.cfg.MaxBatch, rt.Workers(),
 		!s.cfg.NoShareCert, !s.cfg.NoShareFinal, &s.met)
 	return e, nil
 }

@@ -100,11 +100,15 @@ func checkBitIdentical(t *testing.T, label string, dr DiagnoseResponse, soloF *b
 }
 
 // TestServedCoalescedBitIdentical is the tentpole pin: N concurrent
-// clients with overlapping hypotheses are coalesced into one grouped
-// batch (width > 1 observed) and every response is bit-identical to a
-// solo Engine.Diagnose of the same request; identical concurrent
-// requests share one diagnosis. A second identical round exercises the
-// warm result cache and must keep the same answers.
+// clients with overlapping hypotheses are served in grouped batches
+// and every response is bit-identical to a solo Engine.Diagnose of the
+// same request; identical concurrent requests share one diagnosis. A
+// second identical round exercises the warm result cache and must keep
+// the same answers. It runs twice: with a long linger and MaxBatch set
+// to the request count, so all of them form one batch whose width,
+// dedup folds and savings are asserted, and with the zero Config,
+// whose group-commit batches depend on timing, so only the answers
+// and their look-up bills are.
 func TestServedCoalescedBitIdentical(t *testing.T) {
 	const spec = "q:8"
 	behaviors := []syndrome.Behavior{syndrome.Mimic{}, syndrome.AllZero{}, syndrome.AllOne{}, syndrome.Inverted{}}
@@ -114,15 +118,6 @@ func TestServedCoalescedBitIdentical(t *testing.T) {
 		hyps = append(hyps, syndrome.RandomFaults(256, 4+2*h, rng))
 	}
 	unique := len(hyps) * len(behaviors) // 12
-
-	srv := New(Config{
-		Window:   5 * time.Second, // fallback only; MaxBatch triggers the flush
-		MaxBatch: unique,
-		Workers:  2,
-	})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
 
 	// Solo references, computed once up front.
 	type ref struct {
@@ -141,105 +136,137 @@ func TestServedCoalescedBitIdentical(t *testing.T) {
 		return DiagnoseRequest{Topology: spec, Faults: hyps[hi].Members(), Behavior: b.Name()}
 	}
 
-	round := func(roundName string, dups int) {
-		var wg sync.WaitGroup
-		type result struct {
-			label  string
-			status int
-			dr     DiagnoseResponse
-		}
-		results := make(chan result, unique+dups)
-		// Fire the duplicates of (hyp 0, mimic) first and wait until all
-		// of them are pending, so the dedup group is fully assembled
-		// before the batch can possibly flush.
-		for d := 0; d < dups; d++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				status, dr := postDiagnose(t, ts.URL, reqFor(0, syndrome.Mimic{}))
-				results <- result{"0/mimic(dup)", status, dr}
-			}()
-		}
-		if dups > 0 {
-			deadline := time.Now().Add(5 * time.Second)
-			for srv.Snapshot().PendingRequests < int64(dups) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%s: duplicates never became pending", roundName)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		first := 0
-		if dups > 0 {
-			first = 1 // (hyp 0, mimic) is already pending
-		}
-		launched := 0
-		for hi := range hyps {
-			for bi, b := range behaviors {
-				if hi == 0 && bi == 0 && first == 1 {
-					continue
-				}
-				launched++
-				wg.Add(1)
-				go func(hi int, b syndrome.Behavior) {
-					defer wg.Done()
-					status, dr := postDiagnose(t, ts.URL, reqFor(hi, b))
-					results <- result{fmt.Sprintf("%d/%s", hi, b.Name()), status, dr}
-				}(hi, b)
-			}
-		}
-		wg.Wait()
-		close(results)
-		for r := range results {
-			if r.status != http.StatusOK {
-				t.Fatalf("%s %s: status %d (%s)", roundName, r.label, r.status, r.dr.Error)
-			}
-			key := strings.TrimSuffix(r.label, "(dup)")
-			ref := refs[key]
-			checkBitIdentical(t, roundName+" "+r.label, r.dr, ref.faults, ref.stats)
-			if r.dr.BatchWidth != unique {
-				t.Errorf("%s %s: batch width = %d, want %d", roundName, r.label, r.dr.BatchWidth, unique)
-			}
-			// The first duplicate to arrive is the group's original, so
-			// dups submissions make a group of dups waiters.
-			wantWaiters := 1
-			if strings.HasSuffix(r.label, "(dup)") || (key == "0/mimic" && dups > 0) {
-				wantWaiters = dups
-			}
-			if r.dr.Waiters != wantWaiters {
-				t.Errorf("%s %s: waiters = %d, want %d", roundName, r.label, r.dr.Waiters, wantWaiters)
-			}
-		}
-	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		strict bool // one batch of every request: assert its shape
+	}{
+		{"linger", Config{
+			Window:   5 * time.Second, // fallback only; MaxBatch triggers the flush
+			MaxBatch: unique,
+			Workers:  2,
+		}, true},
+		{"default", Config{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(tc.cfg)
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
 
-	round("round1", 4)
-	snap := srv.Snapshot()
-	if snap.MaxBatchWidth != int64(unique) {
-		t.Errorf("max batch width = %d, want %d", snap.MaxBatchWidth, unique)
-	}
-	if snap.CoalescedRequests == 0 {
-		t.Error("no coalesced requests counted")
-	}
-	if snap.DedupHits != 3 {
-		t.Errorf("dedup hits = %d, want 3", snap.DedupHits)
-	}
+			round := func(roundName string, dups int) {
+				var wg sync.WaitGroup
+				type result struct {
+					label  string
+					status int
+					dr     DiagnoseResponse
+				}
+				results := make(chan result, unique+dups)
+				fire := func(label string, req DiagnoseRequest) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						status, dr := postDiagnose(t, ts.URL, req)
+						results <- result{label, status, dr}
+					}()
+				}
+				// The mimic request of every hypothesis fires first —
+				// hyp 0's as the duplicates — and in the strict case is
+				// pending before the rest fire. That assembles the
+				// dedup group before the batch can flush, and makes
+				// each mimic request its hypothesis's group
+				// representative, the only member that consults the
+				// result cache, in both rounds, so round 2's
+				// representatives are cache hits.
+				mimic := behaviors[0]
+				leaders := 0
+				for hi := range hyps {
+					n, label := 1, fmt.Sprintf("%d/%s", hi, mimic.Name())
+					if hi == 0 && dups > 0 {
+						n, label = dups, label+"(dup)"
+					}
+					for d := 0; d < n; d++ {
+						fire(label, reqFor(hi, mimic))
+					}
+					leaders += n
+				}
+				if tc.strict {
+					deadline := time.Now().Add(5 * time.Second)
+					for srv.Snapshot().PendingRequests < int64(leaders) {
+						if time.Now().After(deadline) {
+							t.Fatalf("%s: leading requests never became pending", roundName)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
+				for hi := range hyps {
+					for _, b := range behaviors[1:] {
+						fire(fmt.Sprintf("%d/%s", hi, b.Name()), reqFor(hi, b))
+					}
+				}
+				wg.Wait()
+				close(results)
+				for r := range results {
+					if r.status != http.StatusOK {
+						t.Fatalf("%s %s: status %d (%s)", roundName, r.label, r.status, r.dr.Error)
+					}
+					key := strings.TrimSuffix(r.label, "(dup)")
+					ref := refs[key]
+					checkBitIdentical(t, roundName+" "+r.label, r.dr, ref.faults, ref.stats)
+					if !tc.strict {
+						continue
+					}
+					if r.dr.BatchWidth != unique {
+						t.Errorf("%s %s: batch width = %d, want %d", roundName, r.label, r.dr.BatchWidth, unique)
+					}
+					// The first duplicate to arrive is the group's
+					// original, so dups submissions make a group of dups
+					// waiters.
+					wantWaiters := 1
+					if strings.HasSuffix(r.label, "(dup)") || (key == "0/mimic" && dups > 0) {
+						wantWaiters = dups
+					}
+					if r.dr.Waiters != wantWaiters {
+						t.Errorf("%s %s: waiters = %d, want %d", roundName, r.label, r.dr.Waiters, wantWaiters)
+					}
+				}
+			}
 
-	// Round 2: same traffic against the warm cache. Representatives now
-	// replay canonical outcomes from the cache; the answers must not
-	// move.
-	round("round2", 0)
-	snap = srv.Snapshot()
-	if len(snap.Engines) != 1 || !snap.Engines[0].HasCache {
-		t.Fatalf("expected one cached engine in the registry, got %+v", snap.Engines)
-	}
-	if snap.Engines[0].Cache.Hits == 0 {
-		t.Error("round 2 produced no cache hits")
-	}
-	if snap.Engines[0].Cache.HitRate() <= 0 {
-		t.Error("cache hit rate not positive after a warm round")
-	}
-	if snap.SharedFinalLookups == 0 {
-		t.Error("no shared-final savings counted across grouped batches")
+			round("round1", 4)
+			if tc.strict {
+				snap := srv.Snapshot()
+				if snap.MaxBatchWidth != int64(unique) {
+					t.Errorf("max batch width = %d, want %d", snap.MaxBatchWidth, unique)
+				}
+				if snap.CoalescedRequests == 0 {
+					t.Error("no coalesced requests counted")
+				}
+				if snap.DedupHits != 3 {
+					t.Errorf("dedup hits = %d, want 3", snap.DedupHits)
+				}
+			}
+
+			// Round 2: same traffic against the warm cache.
+			// Representatives now replay canonical outcomes from the
+			// cache; the answers must not move.
+			round("round2", 0)
+			if !tc.strict {
+				return
+			}
+			snap := srv.Snapshot()
+			if len(snap.Engines) != 1 || !snap.Engines[0].HasCache {
+				t.Fatalf("expected one cached engine in the registry, got %+v", snap.Engines)
+			}
+			if snap.Engines[0].Cache.Hits == 0 {
+				t.Error("round 2 produced no cache hits")
+			}
+			if snap.Engines[0].Cache.HitRate() <= 0 {
+				t.Error("cache hit rate not positive after a warm round")
+			}
+			if snap.SharedFinalLookups == 0 {
+				t.Error("no shared-final savings counted across grouped batches")
+			}
+		})
 	}
 }
 
@@ -311,7 +338,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // least recently used engine, and an evicted spec rebinds cleanly on
 // its next request.
 func TestRegistryEviction(t *testing.T) {
-	srv := New(Config{RegistryCap: 2, NoCoalesce: true})
+	srv := New(Config{RegistryCap: 2, MaxBatch: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -345,7 +372,7 @@ func TestRegistryEviction(t *testing.T) {
 // outcomes).
 func TestCampaignStream(t *testing.T) {
 	const spec = "q:8"
-	srv := New(Config{NoCoalesce: true, CacheCap: -1})
+	srv := New(Config{MaxBatch: 1, CacheCap: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -398,7 +425,7 @@ func TestCampaignStream(t *testing.T) {
 // request binds a Cayley engine (no CSR) and its response matches the
 // solo implicit reference bit for bit.
 func TestImplicitServing(t *testing.T) {
-	srv := New(Config{NoCoalesce: true})
+	srv := New(Config{MaxBatch: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -438,7 +465,7 @@ func TestImplicitServing(t *testing.T) {
 
 // TestDiagnoseValidation sweeps the request-rejection matrix.
 func TestDiagnoseValidation(t *testing.T) {
-	srv := New(Config{NoCoalesce: true})
+	srv := New(Config{MaxBatch: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -561,6 +588,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("/metrics missing %q", family)
+		}
+	}
+
+	// Flush triggers carry values, not just names. With a window set no
+	// request dispatches on arrival: each pair member either lingers
+	// until the window expires or fills the max-batch-2 set.
+	fl := srv.Snapshot().Flushes
+	if fl.Idle != 0 || fl.Linger+fl.Full < 1 {
+		t.Errorf("flushes %+v: want idle 0 and at least one linger or full flush under a 1ms window", fl)
+	}
+	for trig, v := range map[string]int64{"idle": fl.Idle, "drain": fl.Drain, "linger": fl.Linger, "full": fl.Full} {
+		line := fmt.Sprintf("diagnosed_flushes_total{trigger=%q} %d\n", trig, v)
+		if !strings.Contains(text, line) {
+			t.Errorf("/metrics lacks %q", line)
 		}
 	}
 }

@@ -160,8 +160,16 @@ func (l *Lazy) ResetLookups() {
 // Close when the worker is done; the parent's Lookups only includes the
 // shard's count after Close.
 func (l *Lazy) Shard() *Shard {
+	return l.ShardInto(new(Shard))
+}
+
+// ShardInto is Shard without the allocation: it points sh at l with a
+// zero local count, so a worker can reuse one Shard value across
+// syndromes. sh must be closed (or never used) before it is re-pointed.
+func (l *Lazy) ShardInto(sh *Shard) *Shard {
 	l.stripeArr() // ensure the merge target exists before workers race
-	return &Shard{parent: l}
+	*sh = Shard{parent: l}
+	return sh
 }
 
 // Faults exposes the underlying fault set (read-only use).
