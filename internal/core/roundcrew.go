@@ -21,7 +21,8 @@ type roundJob struct {
 	kind       roundKind
 	rk         rangedRounder
 	a          graph.Adjacencer
-	offs, tgts []int32 // CSR arrays; nil on an implicit adjacency
+	offs, tgts []int32   // CSR arrays; nil on an implicit adjacency
+	sched      []xorStep // XOR schedule for implicit sweeps (see runWordKernel)
 	uw, fw     []uint64
 	parent     []int32
 	n          int // node count (sweep rounds)
@@ -33,13 +34,21 @@ type roundJob struct {
 	u        *bitset.Set
 	restrict *bitset.Set
 
-	shards []syndrome.Shard
+	shards []paddedShard
 	views  []syndrome.Syndrome // per-worker syndrome (barrier rounds)
 	wadm   []int               // per-worker admission counts (word rounds)
 	admits [][]parallelAdmission
 	pnext  [][]int32 // per-worker next frontiers (sweep rounds)
 	pnbuf  [][]int32 // per-worker neighbour-generation buffers
 	wg     sync.WaitGroup
+}
+
+// paddedShard gives each worker's shard a cache line of its own: every
+// look-up bumps the shard's counter, and 16-byte shards packed side by
+// side would make workers write the same line.
+type paddedShard struct {
+	syndrome.Shard
+	_ [48]byte
 }
 
 type roundKind uint8
@@ -56,7 +65,7 @@ const (
 // the per-worker state to workers entries.
 func (j *roundJob) begin(s syndrome.Syndrome, workers int) {
 	for len(j.shards) < workers {
-		j.shards = append(j.shards, syndrome.Shard{})
+		j.shards = append(j.shards, paddedShard{})
 		j.views = append(j.views, nil)
 		j.wadm = append(j.wadm, 0)
 		j.admits = append(j.admits, nil)
@@ -66,7 +75,7 @@ func (j *roundJob) begin(s syndrome.Syndrome, workers int) {
 	l, _ := s.(*syndrome.Lazy)
 	for w := 0; w < workers; w++ {
 		if l != nil {
-			j.views[w] = l.ShardInto(&j.shards[w])
+			j.views[w] = l.ShardInto(&j.shards[w].Shard)
 		} else {
 			j.views[w] = syndrome.ForConcurrent(s)
 		}
@@ -78,11 +87,11 @@ func (j *roundJob) begin(s syndrome.Syndrome, workers int) {
 func (j *roundJob) end(workers int) {
 	for w := 0; w < workers; w++ {
 		j.shards[w].Close()
-		j.shards[w] = syndrome.Shard{}
+		j.shards[w] = paddedShard{}
 		j.views[w] = nil
 	}
 	j.rk, j.a, j.u, j.restrict = nil, nil, nil, nil
-	j.offs, j.tgts, j.uw, j.fw, j.parent, j.work = nil, nil, nil, nil, nil, nil
+	j.offs, j.tgts, j.sched, j.uw, j.fw, j.parent, j.work = nil, nil, nil, nil, nil, nil, nil
 }
 
 // kernelRound runs one rangedRounder round over fixed contiguous word
@@ -105,8 +114,8 @@ func (j *roundJob) kernelRound(rk rangedRounder, fw, uw []uint64, parent []int32
 // prefixes — and thus the look-up count — bit-identical. Worker ranges
 // ascend, so concatenating their next buffers in worker order
 // reproduces the sorted frontier.
-func (j *roundJob) complementSweep(a graph.Adjacencer, offs, tgts []int32, uw, fw []uint64, parent []int32, n, workers int, next []int32) ([]int32, int) {
-	j.kind, j.a, j.offs, j.tgts, j.uw, j.fw, j.parent, j.n = sweepRound, a, offs, tgts, uw, fw, parent, n
+func (j *roundJob) complementSweep(a graph.Adjacencer, offs, tgts []int32, sched []xorStep, uw, fw []uint64, parent []int32, n, workers int, next []int32) ([]int32, int) {
+	j.kind, j.a, j.offs, j.tgts, j.sched, j.uw, j.fw, j.parent, j.n = sweepRound, a, offs, tgts, sched, uw, fw, parent, n
 	j.fanOut(workers, len(uw))
 	admitted := 0
 	for w := 0; w < workers; w++ {
@@ -152,10 +161,10 @@ func (j *roundJob) run(w int) {
 	}
 	switch j.kind {
 	case kernelRound:
-		j.wadm[w] = j.rk.roundRange(j.fw, j.uw, j.parent, &j.shards[w], lo, hi)
+		j.wadm[w] = j.rk.roundRange(j.fw, j.uw, j.parent, &j.shards[w].Shard, lo, hi)
 	case sweepRound:
 		j.pnext[w], j.pnbuf[w], j.wadm[w] = complementSweepShard(
-			j.a, j.offs, j.tgts, j.uw, j.fw, j.parent, &j.shards[w], j.n, lo, hi, j.pnext[w], j.pnbuf[w])
+			j.a, j.offs, j.tgts, j.sched, j.uw, j.fw, j.parent, &j.shards[w].Shard, j.n, lo, hi, j.pnext[w], j.pnbuf[w])
 	case barrierRound:
 		j.admits[w], j.pnbuf[w] = barrierShard(
 			j.a, j.offs, j.tgts, j.u, j.restrict, j.parent, j.work[lo:hi], j.views[w], j.admits[w], j.pnbuf[w])

@@ -122,6 +122,16 @@ func (fp *finalPrefix) frontierHazardous(frontier []int32) bool {
 	return false
 }
 
+// wordsHazardous is frontierHazardous for a frontier held as a bitset.
+func (fp *finalPrefix) wordsHazardous(fw []uint64) bool {
+	for wi, w := range fw {
+		if w&fp.hazard[wi] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // snapshot records the checkpoint at a round boundary: the pass's
 // state before the first round that would consult a hazardous
 // comparison. frontier must be the (sorted) round-start frontier.

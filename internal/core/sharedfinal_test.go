@@ -127,6 +127,64 @@ func TestShareFinalPrefixAccounting(t *testing.T) {
 	})
 }
 
+// TestShareFinalPrefixMidChain pins a checkpoint recorded while the
+// XOR kernel's frontier is a bitset: on implicit Q14 the rounds whose
+// frontier is a middle layer are word rounds that chain without a
+// frontier list, and faults at distance 8–10 from the seed end the
+// behaviour-independent prefix between two of them. The snapshot must
+// materialise that frontier and members must resume from it exactly.
+func TestShareFinalPrefixMidChain(t *testing.T) {
+	const bitsN = 14
+	nw := topology.NewHypercube(bitsN)
+	g := nw.Graph()
+	eng, err := NewCayleyEngine(nw.CayleyStructure(), bitsN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, ok := eng.bnd.Load().kernel.(*xorKernel)
+	if !ok {
+		t.Fatalf("implicit Q14 bound %q, want the XOR kernel", eng.KernelName())
+	}
+	// The certified seed of a far-clustered hypothesis, then faults
+	// clustered at distance 9 from it.
+	parts, err := eng.Parts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := syndrome.ClusterFaults(g, parts[0].Seed^int32(g.N()-1), bitsN)
+	_, st, err := eng.Diagnose(syndrome.NewLazy(far, syndrome.Mimic{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	F := syndrome.ClusterFaults(g, st.Seed^0x1ff, bitsN)
+	checkSharedFinalGroup(t, nw, eng, F, BatchOptions{})
+
+	var syns []syndrome.Syndrome
+	for _, b := range sharedFinalBehaviors() {
+		syns = append(syns, syndrome.NewLazy(F, b))
+	}
+	res := eng.DiagnoseBatch(syns, BatchOptions{ShareFinalPrefix: true})
+	if res[1].Err != nil || res[1].Stats.Seed != st.Seed {
+		t.Fatalf("member seed %d (err %v), want %d", res[1].Stats.Seed, res[1].Err, st.Seed)
+	}
+	// A clean prefix is a plain BFS from the seed, so the frontier of
+	// round r is the distance-r layer of C(14, r) nodes; the rounds on
+	// both sides of the boundary must be word rounds.
+	r := res[1].Stats.SharedFinalRounds
+	binom := func(n, k int) int {
+		c := 1
+		for i := 0; i < k; i++ {
+			c = c * (n - i) / (i + 1)
+		}
+		return c
+	}
+	t.Logf("prefix ends after round %d", r)
+	if r < 2 || binom(bitsN, r-1) <= k.threshold || binom(bitsN, r) <= k.threshold {
+		t.Fatalf("prefix of %d rounds does not end between word rounds (layers %d, %d; threshold %d)",
+			r, binom(bitsN, r-1), binom(bitsN, r), k.threshold)
+	}
+}
+
 // TestShareFinalPrefixGenericAndKernels pins the contract across every
 // final-pass driver: the generic adaptive sweep (GenericFinal), the
 // xor-cayley kernel (Q8), the additive-rotate kernel (k-ary torus) and

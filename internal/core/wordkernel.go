@@ -13,7 +13,7 @@ import (
 // bitset fw, admitting into uw/parent via l and returning the admission
 // count. The driver (runWordKernel) owns everything else — the U_1 pair
 // scan, the sorted-frontier gate, the small-round reference sweep, the
-// round-start snapshot and next-frontier extraction, and the deferred
+// round-start snapshot and the bitset-resident frontier, and the deferred
 // contributor reconstruction — so a new structure family only has to
 // supply its round permutation schedule.
 //
@@ -153,6 +153,15 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 	if csr != nil {
 		offs, tgts = csr.Adjacency()
 	}
+	// Implicit neighbour sources: frontier sweeps take generator order
+	// (a frontier node tests each non-member neighbour once, whatever
+	// the order, and admissions drain sorted), and an XOR kernel's dense
+	// sweeps walk its compiled schedule, which lists any node's testers
+	// in ascending order without a sort.
+	var sched []xorStep
+	if xk, ok := k.(*xorKernel); ok && csr == nil {
+		sched = xk.steps
+	}
 	uw := res.U.Words()
 	parent := res.Parent
 	fw := sc.fsetBuf().Words()
@@ -181,57 +190,74 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 	if workers > 1 {
 		job.begin(l, workers)
 	}
+	// The frontier has one of two forms. As a list (frontier, with fw
+	// all zero) after U_1, a resume or a sweep round. As a bitset
+	// (inBits: fw holds the frontier, pw equals uw, size counts it)
+	// after a word round, so chained word rounds never scatter, clear
+	// or re-extract it, and a dense sweep reads fw as it stands; only a
+	// frontier sweep or a prefix snapshot needs the list back.
+	size := len(frontier)
+	inBits := false
 	// Contributor bookkeeping is deferred: the contributor set is
 	// exactly the set of parents, reconstructed in one pass at the end,
 	// and the AllHealthy threshold is monotone, so the final count
 	// decides it — this drops a membership test from every admission.
-	for len(frontier) > 0 {
-		if rec := sc.prefixRec; rec != nil && rec.frontierHazardous(frontier) {
+	for size > 0 {
+		if rec := sc.prefixRec; rec != nil {
 			// End of the behaviour-independent prefix: the next round
 			// would consult a comparison involving a hypothesised-faulty
 			// node (see finalPrefix).
-			rec.snapshot(res, frontier, uCount, res.Rounds, l.Lookups()-start)
-			sc.prefixRec = nil
+			if inBits && rec.wordsHazardous(fw) {
+				next = appendBits(next[:0], fw)
+				rec.snapshot(res, next, uCount, res.Rounds, l.Lookups()-start)
+				sc.prefixRec = nil
+			} else if !inBits && rec.frontierHazardous(frontier) {
+				rec.snapshot(res, frontier, uCount, res.Rounds, l.Lookups()-start)
+				sc.prefixRec = nil
+			}
 		}
 		admitted := 0
-		if sorted && len(frontier) > threshold {
-			copy(pw, uw)
+		if sorted && size > threshold {
 			// Word-parallel round against the fixed round-start frontier.
-			for _, u := range frontier {
-				fw[u>>6] |= 1 << (uint(u) & 63)
+			if !inBits {
+				copy(pw, uw)
+				for _, u := range frontier {
+					fw[u>>6] |= 1 << (uint(u) & 63)
+				}
 			}
-			if workers > 1 && len(frontier) >= parallelFrontierMin {
+			if workers > 1 && size >= parallelFrontierMin {
 				admitted = job.kernelRound(rk, fw, uw, parent, workers)
 			} else {
 				admitted = k.round(fw, uw, parent, l)
 			}
-			for _, u := range frontier {
-				fw[u>>6] &^= 1 << (uint(u) & 63)
+			// One fused pass turns the round's admissions — the U delta
+			// against the round-start snapshot — into the next frontier,
+			// overwriting (and so clearing) this round's, and advances
+			// the snapshot. A bitset is ascending by construction: it is
+			// the sorted frontier the reference Drain produces. With no
+			// admissions it leaves fw empty, as every exit from the loop
+			// does.
+			for wi, w := range uw {
+				fw[wi] = w &^ pw[wi]
+				pw[wi] = w
 			}
+			inBits = true
 			if admitted == 0 {
 				break
 			}
-			// The new frontier is the U delta against the round-start
-			// snapshot, read out in ascending order — the sorted frontier
-			// the reference Drain produces, without per-admission set
-			// maintenance.
-			next = next[:0]
-			for wi, w := range uw {
-				for d := w &^ pw[wi]; d != 0; d &= d - 1 {
-					next = append(next, int32(wi<<6+bits.TrailingZeros64(d)))
-				}
-			}
-		} else if sorted && len(frontier) > n-uCount {
+		} else if sorted && size > n-uCount {
 			// Dense sweep round: few non-members remain, so walk V∖U and
 			// probe each non-member's frontier neighbours in ascending
 			// order until one vouches — the same test prefix, far fewer
 			// probes (the adaptive direction of setBuilderLazyInto).
-			for _, u := range frontier {
-				fw[u>>6] |= 1 << (uint(u) & 63)
+			if !inBits {
+				for _, u := range frontier {
+					fw[u>>6] |= 1 << (uint(u) & 63)
+				}
 			}
 			next = next[:0]
 			if workers > 1 && n-uCount >= parallelFrontierMin {
-				next, admitted = job.complementSweep(a, offs, tgts, uw, fw, parent, n, workers, next)
+				next, admitted = job.complementSweep(a, offs, tgts, sched, uw, fw, parent, n, workers, next)
 			} else {
 				for wi, w := range uw {
 					inv := ^w
@@ -243,6 +269,23 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 					for inv != 0 {
 						v := int32(wi<<6 + bits.TrailingZeros64(inv))
 						inv &= inv - 1
+						if sched != nil {
+							for si := range sched {
+								st := &sched[si]
+								if v&st.vMask != st.vVal {
+									continue
+								}
+								u := v ^ st.mask
+								if fw[u>>6]&(1<<(uint(u)&63)) == 0 || l.Test(u, v, parent[u]) != 0 {
+									continue
+								}
+								parent[v] = u
+								next = append(next, v)
+								admitted++
+								break
+							}
+							continue
+						}
 						var nbrs []int32
 						if csr != nil {
 							nbrs = tgts[offs[v]:offs[v+1]]
@@ -251,10 +294,7 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 							nbrs = sc.nbuf
 						}
 						for _, u := range nbrs {
-							if fw[u>>6]&(1<<(uint(u)&63)) == 0 {
-								continue
-							}
-							if l.Test(u, v, parent[u]) != 0 {
+							if fw[u>>6]&(1<<(uint(u)&63)) == 0 || l.Test(u, v, parent[u]) != 0 {
 								continue
 							}
 							parent[v] = u
@@ -265,8 +305,13 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 					}
 				}
 			}
-			for _, u := range frontier {
-				fw[u>>6] &^= 1 << (uint(u) & 63)
+			if inBits {
+				clear(fw)
+				inBits = false
+			} else {
+				for _, u := range frontier {
+					fw[u>>6] &^= 1 << (uint(u) & 63)
+				}
 			}
 			if admitted == 0 {
 				break
@@ -283,13 +328,18 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 			// sweep (as in setBuilderLazyInto) beats whole-bitset
 			// permutes and is the only order-preserving option for a
 			// scrambled U_1 frontier.
+			if inBits {
+				frontier = appendBits(frontier[:0], fw)
+				clear(fw)
+				inBits = false
+			}
 			for _, u := range frontier {
 				tu := parent[u]
 				var nbrs []int32
 				if csr != nil {
 					nbrs = tgts[offs[u]:offs[u+1]]
 				} else {
-					sc.nbuf = a.AppendNeighbors(u, sc.nbuf)
+					sc.nbuf = a.AppendNeighborsUnordered(u, sc.nbuf)
 					nbrs = sc.nbuf
 				}
 				for _, v := range nbrs {
@@ -311,6 +361,7 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 			sorted = true
 		}
 		uCount += admitted
+		size = admitted
 		frontier, next = next, frontier
 		res.Rounds++
 	}
@@ -345,11 +396,12 @@ func runWordKernel(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 int32, 
 // complementSweepShard is one worker's slice of a parallel dense sweep
 // round: walk the non-members whose ids fall in words [lo, hi) of uw
 // and probe each one's frontier neighbours in ascending order until one
-// vouches. It mirrors the sequential branch of runWordKernel — kept
-// separate (with a concrete *syndrome.Shard) so the sequential path
-// stays devirtualised on *syndrome.Lazy. Membership stays deferred:
-// uw is read-only here, next collects admissions in ascending order.
-func complementSweepShard(a graph.Adjacencer, offs, tgts []int32, uw, fw []uint64, parent []int32, sh *syndrome.Shard, n, lo, hi int, next, nbuf []int32) ([]int32, []int32, int) {
+// vouches — along the XOR schedule when sched is set, as in the
+// sequential branch of runWordKernel. It is kept separate (with a
+// concrete *syndrome.Shard) so the sequential path stays devirtualised
+// on *syndrome.Lazy. Membership stays deferred: uw is read-only here,
+// next collects admissions in ascending order.
+func complementSweepShard(a graph.Adjacencer, offs, tgts []int32, sched []xorStep, uw, fw []uint64, parent []int32, sh *syndrome.Shard, n, lo, hi int, next, nbuf []int32) ([]int32, []int32, int) {
 	admitted := 0
 	csrOK := offs != nil
 	for wi := lo; wi < hi; wi++ {
@@ -362,6 +414,23 @@ func complementSweepShard(a graph.Adjacencer, offs, tgts []int32, uw, fw []uint6
 		for inv != 0 {
 			v := int32(wi<<6 + bits.TrailingZeros64(inv))
 			inv &= inv - 1
+			if sched != nil {
+				for si := range sched {
+					st := &sched[si]
+					if v&st.vMask != st.vVal {
+						continue
+					}
+					u := v ^ st.mask
+					if fw[u>>6]&(1<<(uint(u)&63)) == 0 || sh.Test(u, v, parent[u]) != 0 {
+						continue
+					}
+					parent[v] = u
+					next = append(next, v)
+					admitted++
+					break
+				}
+				continue
+			}
 			var nbrs []int32
 			if csrOK {
 				nbrs = tgts[offs[v]:offs[v+1]]
@@ -370,10 +439,7 @@ func complementSweepShard(a graph.Adjacencer, offs, tgts []int32, uw, fw []uint6
 				nbrs = nbuf
 			}
 			for _, u := range nbrs {
-				if fw[u>>6]&(1<<(uint(u)&63)) == 0 {
-					continue
-				}
-				if sh.Test(u, v, parent[u]) != 0 {
+				if fw[u>>6]&(1<<(uint(u)&63)) == 0 || sh.Test(u, v, parent[u]) != 0 {
 					continue
 				}
 				parent[v] = u
@@ -384,4 +450,14 @@ func complementSweepShard(a graph.Adjacencer, offs, tgts []int32, uw, fw []uint6
 		}
 	}
 	return next, nbuf, admitted
+}
+
+// appendBits appends the set bits of words to dst in ascending order.
+func appendBits(dst []int32, words []uint64) []int32 {
+	for wi, w := range words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
 }

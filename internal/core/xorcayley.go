@@ -48,6 +48,21 @@ import (
 // vanishes from every later step's candidate words — exactly the
 // reference's prefix-until-0 suppression (see runWordKernel for the
 // shared round loop and the full equivalence argument).
+//
+// Fused runs. Consecutive steps that read the same frontier word (same
+// word-index XOR — for Q_n, the whole in-word block of masks 1..32)
+// under the same word condition form one run, applied word by word
+// with the frontier and candidate words held in registers: one pass
+// over the bitset instead of one per step. This is exact for the
+// reason word ranges are (see rangedRounder): candidate suppression
+// lives in the candidate's own word and the frontier is frozen for the
+// round, so within a word the steps still run in schedule order and
+// no other word can observe the interleaving.
+//
+// The schedule also serves single nodes: filtering it by one node's
+// condition (vMask/vVal) lists that node's neighbours in ascending
+// order without a sort, which the dense complement sweep of an
+// implicit engine walks until the first vouching frontier tester.
 
 // deltaSwapMasks[d] selects the lower element of each bit pair at
 // distance 2^d — the classic butterfly masks. Its complement is the
@@ -57,20 +72,31 @@ var deltaSwapMasks = [6]uint64{
 	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
 }
 
-// xorStep is one compiled schedule entry: test the candidates selected
-// by the condition (wiMask/wiVal on the word index, pat in-word)
-// against their frontier neighbour across mask.
+// xorStep is one compiled schedule entry: test the candidates v with
+// v&vMask == vVal against their frontier neighbour across mask. Bits
+// ≥ 6 of the condition filter word indices; bits < 6 compile to the
+// in-word candidate pattern pat.
 type xorStep struct {
-	mask    int32  // generator; the tester of candidate v is v ^ mask
-	wordXor uint32 // mask >> 6: word reindex of the frontier read
-	low     uint32 // mask & 63: in-word delta-swap composition
-	wiMask  uint32 // word-index condition: process wi iff wi&wiMask == wiVal
-	wiVal   uint32
-	pat     uint64 // in-word candidate pattern from bit literals < 6
+	mask        int32  // generator; the tester of candidate v is v ^ mask
+	low         uint32 // mask & 63: in-word delta-swap composition
+	pat         uint64 // in-word candidate pattern from bit literals < 6
+	vMask, vVal int32  // the whole condition on one candidate v
+}
+
+// xorRun is a maximal block of consecutive schedule steps sharing the
+// frontier word they read (wordXor = mask >> 6) and their word
+// condition (process wi iff wi&wiMask == wiVal), applied word by word
+// (see the file comment). A step that differs from its neighbours in
+// either forms a run of its own.
+type xorRun struct {
+	steps         []xorStep
+	wordXor       uint32
+	wiMask, wiVal uint32
 }
 
 type xorKernel struct {
-	steps     []xorStep
+	steps     []xorStep // the compiled schedule, in order
+	runs      []xorRun  // steps grouped for word rounds
 	multi     bool
 	threshold int // frontier size where word rounds beat the sweep
 }
@@ -102,25 +128,35 @@ func bindXORKernel(desc graph.CayleyDescriptor, a graph.Adjacencer) finalKernel 
 	}
 	steps := make([]xorStep, len(sched))
 	for i, s := range sched {
-		st := xorStep{
-			mask:    s.mask,
-			wordXor: uint32(s.mask >> 6),
-			low:     uint32(s.mask & 63),
-			pat:     ^uint64(0),
-		}
+		st := xorStep{mask: s.mask, low: uint32(s.mask & 63), pat: ^uint64(0)}
 		for _, lt := range s.lits {
-			if lt.bit >= 6 {
-				st.wiMask |= 1 << uint(lt.bit-6)
+			st.vMask |= 1 << uint(lt.bit)
+			if lt.val {
+				st.vVal |= 1 << uint(lt.bit)
+			}
+			if lt.bit < 6 {
 				if lt.val {
-					st.wiVal |= 1 << uint(lt.bit-6)
+					st.pat &= ^deltaSwapMasks[lt.bit]
+				} else {
+					st.pat &= deltaSwapMasks[lt.bit]
 				}
-			} else if lt.val {
-				st.pat &= ^deltaSwapMasks[lt.bit]
-			} else {
-				st.pat &= deltaSwapMasks[lt.bit]
 			}
 		}
 		steps[i] = st
+	}
+	// A run's key: the frontier word index XOR and the word condition.
+	key := func(st xorStep) [3]uint32 {
+		return [3]uint32{uint32(st.mask >> 6), uint32(st.vMask >> 6), uint32(st.vVal >> 6)}
+	}
+	var runs []xorRun
+	for i := 0; i < len(steps); {
+		c := key(steps[i])
+		j := i + 1
+		for j < len(steps) && key(steps[j]) == c {
+			j++
+		}
+		runs = append(runs, xorRun{steps: steps[i:j:j], wordXor: c[0], wiMask: c[1], wiVal: c[2]})
+		i = j
 	}
 	// Round cost: word visits per round, each weighted by its
 	// delta-swap chain (a step conditioned on j word-index bits touches
@@ -128,9 +164,9 @@ func bindXORKernel(desc graph.CayleyDescriptor, a graph.Adjacencer) finalKernel 
 	words := n / 64
 	cost := 0
 	for _, st := range steps {
-		cost += (words >> bits.OnesCount32(st.wiMask)) * (1 + bits.OnesCount32(st.low))
+		cost += (words >> bits.OnesCount32(uint32(st.vMask>>6))) * (1 + bits.OnesCount32(st.low))
 	}
-	return &xorKernel{steps: steps, multi: xc.MultiBit(), threshold: sweepThresholdFor(cost, a)}
+	return &xorKernel{steps: steps, runs: runs, multi: xc.MultiBit(), threshold: sweepThresholdFor(cost, a)}
 }
 
 // xorLit is one condition literal: node bit `bit` of the candidate must
@@ -230,43 +266,49 @@ func (k *xorKernel) run(sc *Scratch, a graph.Adjacencer, l *syndrome.Lazy, u0 in
 
 func (k *xorKernel) sweepThreshold() int { return k.threshold }
 
-// round implements wordRounder: one sweep of the compiled schedule.
-// Word indices matching a step's condition are enumerated directly
-// (submask iteration over the free bits), so a step conditioned on j
-// word bits touches only a 2^-j fraction of the bitset.
+// round implements wordRounder: one sweep of the compiled schedule,
+// run by run. Word indices matching a run's condition are enumerated
+// directly (submask iteration over the free bits), so a run
+// conditioned on j word bits touches only a 2^-j fraction of the
+// bitset; each visited word runs the run's steps in order on register
+// copies of its frontier and candidate words.
 func (k *xorKernel) round(fw, uw []uint64, parent []int32, l *syndrome.Lazy) int {
 	admitted := 0
 	last := uint32(len(uw) - 1) // len(uw) is a power of two
-	for si := range k.steps {
-		st := &k.steps[si]
-		free := last &^ st.wiMask
+	for ri := range k.runs {
+		r := &k.runs[ri]
+		free := last &^ r.wiMask
 		s := uint32(0)
 		for {
-			wi := st.wiVal | s
+			wi := r.wiVal | s
 			// The frontier word holding the testers of wi's candidates,
-			// permuted into candidate positions: word-index XOR for the
-			// high mask bits, one delta swap per low mask bit.
-			w := fw[wi^st.wordXor]
-			if w != 0 {
-				for r := st.low; r != 0; r &= r - 1 {
-					d := uint(bits.TrailingZeros32(r))
-					lo := deltaSwapMasks[d]
-					sh := uint(1) << d
-					w = (w&lo)<<sh | (w>>sh)&lo
-				}
-				if w &= st.pat &^ uw[wi]; w != 0 {
-					m := st.mask
-					base := int32(wi) << 6
-					for ; w != 0; w &= w - 1 {
-						v := base + int32(bits.TrailingZeros64(w))
-						u := v ^ m
+			// and the candidates' own membership word (a full word has
+			// no candidates left).
+			if f, c := fw[wi^r.wordXor], uw[wi]; f != 0 && c != ^uint64(0) {
+				base := int32(wi) << 6
+				for si := range r.steps {
+					st := &r.steps[si]
+					// Permute the testers into candidate positions: one
+					// delta swap per low mask bit.
+					w := f
+					for rr := st.low; rr != 0; rr &= rr - 1 {
+						d := uint(bits.TrailingZeros32(rr))
+						lo := deltaSwapMasks[d]
+						sh := uint(1) << d
+						w = (w&lo)<<sh | (w>>sh)&lo
+					}
+					for w &= st.pat &^ c; w != 0; w &= w - 1 {
+						b := bits.TrailingZeros64(w)
+						v := base + int32(b)
+						u := v ^ st.mask
 						if l.Test(u, v, parent[u]) == 0 {
-							uw[v>>6] |= 1 << (uint32(v) & 63)
+							c |= 1 << uint(b)
 							parent[v] = u
 							admitted++
 						}
 					}
 				}
+				uw[wi] = c
 			}
 			s = (s - free) & free
 			if s == 0 {
@@ -282,66 +324,81 @@ func (k *xorKernel) round(fw, uw []uint64, parent []int32, l *syndrome.Lazy) int
 // in each step) lives in the candidate's own word, so a worker that
 // owns a word for the whole round observes exactly the admissions the
 // sequential schedule would — results and look-ups are bit-identical.
-// The per-word body mirrors round's; it is kept separate (on a concrete
-// *syndrome.Shard) so the sequential path stays devirtualised on
-// *syndrome.Lazy.
+// Each run enumerates only the owned words matching its condition.
+// The per-word body mirrors round's; it is kept separate (on a
+// concrete *syndrome.Shard) so the sequential path stays devirtualised
+// on *syndrome.Lazy.
 func (k *xorKernel) roundRange(fw, uw []uint64, parent []int32, sh *syndrome.Shard, lo, hi int) int {
 	admitted := 0
 	last := uint32(len(uw) - 1) // len(uw) is a power of two
-	for si := range k.steps {
-		st := &k.steps[si]
-		if st.wiMask == 0 {
-			// Unconditioned step: every word qualifies — walk the owned
-			// range directly instead of enumerating submasks.
-			for wi := uint32(lo); wi < uint32(hi); wi++ {
-				admitted += st.testWord(wi, fw, uw, parent, sh)
-			}
-			continue
-		}
-		free := last &^ st.wiMask
-		s := uint32(0)
-		for {
-			wi := st.wiVal | s
-			if wi >= uint32(lo) && wi < uint32(hi) {
-				admitted += st.testWord(wi, fw, uw, parent, sh)
-			}
-			s = (s - free) & free
+	for ri := range k.runs {
+		r := &k.runs[ri]
+		free := last &^ r.wiMask
+		for wi := firstCondWord(uint32(lo), r.wiMask, r.wiVal); wi < uint32(hi); {
+			admitted += r.testWord(wi, fw, uw, parent, sh)
+			s := ((wi &^ r.wiVal) - free) & free
 			if s == 0 {
 				break
 			}
+			wi = r.wiVal | s
 		}
 	}
 	return admitted
 }
 
-// testWord runs one schedule step against one candidate word: permute
+// firstCondWord returns the least word index ≥ lo whose bits under
+// mask equal val (val ⊆ mask), or the largest uint32 when none fits.
+func firstCondWord(lo, mask, val uint32) uint32 {
+	diff := (lo ^ val) & mask
+	if diff == 0 {
+		return lo
+	}
+	h := uint(31 - bits.LeadingZeros32(diff))
+	below := uint32(1)<<(h+1) - 1 // bits 0..h
+	if val&(1<<h) != 0 {
+		// lo has a 0 where val needs a 1: keep lo above h and take the
+		// least completion from bit h down.
+		return lo&^below | val&below
+	}
+	// lo has a 1 where val needs a 0: carry into the lowest free bit
+	// above h that lo leaves clear.
+	t := (lo | mask | below) + 1
+	if t == 0 {
+		return ^uint32(0)
+	}
+	return t&^mask | val
+}
+
+// testWord runs the run's steps against one candidate word: permute
 // the frontier word into candidate positions, mask to live candidates,
-// and test the survivors across the step's generator.
-func (st *xorStep) testWord(wi uint32, fw, uw []uint64, parent []int32, sh *syndrome.Shard) int {
-	w := fw[wi^st.wordXor]
-	if w == 0 {
-		return 0
-	}
-	for r := st.low; r != 0; r &= r - 1 {
-		d := uint(bits.TrailingZeros32(r))
-		lo := deltaSwapMasks[d]
-		shft := uint(1) << d
-		w = (w&lo)<<shft | (w>>shft)&lo
-	}
-	if w &= st.pat &^ uw[wi]; w == 0 {
+// and test the survivors across each step's generator.
+func (r *xorRun) testWord(wi uint32, fw, uw []uint64, parent []int32, sh *syndrome.Shard) int {
+	f, c := fw[wi^r.wordXor], uw[wi]
+	if f == 0 || c == ^uint64(0) {
 		return 0
 	}
 	admitted := 0
-	m := st.mask
 	base := int32(wi) << 6
-	for ; w != 0; w &= w - 1 {
-		v := base + int32(bits.TrailingZeros64(w))
-		u := v ^ m
-		if sh.Test(u, v, parent[u]) == 0 {
-			uw[v>>6] |= 1 << (uint32(v) & 63)
-			parent[v] = u
-			admitted++
+	for si := range r.steps {
+		st := &r.steps[si]
+		w := f
+		for rr := st.low; rr != 0; rr &= rr - 1 {
+			d := uint(bits.TrailingZeros32(rr))
+			lo := deltaSwapMasks[d]
+			shft := uint(1) << d
+			w = (w&lo)<<shft | (w>>shft)&lo
+		}
+		for w &= st.pat &^ c; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			v := base + int32(b)
+			u := v ^ st.mask
+			if sh.Test(u, v, parent[u]) == 0 {
+				c |= 1 << uint(b)
+				parent[v] = u
+				admitted++
+			}
 		}
 	}
+	uw[wi] = c
 	return admitted
 }

@@ -214,41 +214,103 @@ func testKernelsFaultySeed(t *testing.T, g *graph.Graph, delta int, k finalKerne
 // Contributors and the exact look-up count — across behaviours, fault
 // loads (healthy-dominant, at δ, beyond δ) and seeds, on sizes that
 // exercise both the word-parallel and the small-round sweep paths.
+//
+// The XOR kernel also runs over descriptor-bound adjacency
+// (graph.NewCayleyAdjacency), where its sweeps take other neighbour
+// sources than a CSR run: frontier sweeps generate neighbours in
+// generator order and dense complement sweeps walk the compiled
+// schedule. Q14, FQ12 and AQ10 chain several word rounds — the
+// bitset-resident frontier and the fused in-word runs — before handing
+// off to complement sweeps; a faulty seed adds a scrambled U_1
+// frontier.
 func TestStructureKernelsMatchReference(t *testing.T) {
+	type target struct {
+		name string
+		nw   topology.Network
+		a    graph.Adjacencer
+		k    finalKernel
+	}
+	var targets []target
 	for _, nw := range structuredNetworks() {
-		g := nw.Graph()
-		delta := nw.Diagnosability()
-		k := declaredKernel(t, nw)
+		targets = append(targets, target{nw.Name(), nw, nw.Graph(), declaredKernel(t, nw)})
+	}
+	for _, nw := range []topology.Network{
+		topology.NewHypercube(9),
+		topology.NewHypercube(14),
+		topology.NewFoldedHypercube(12),
+		topology.NewAugmentedCube(10),
+	} {
+		ca, err := graph.NewCayleyAdjacency(nw.(topology.CayleyStructured).CayleyStructure())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := bindFinalKernel(ca.Descriptor(), ca)
+		if _, ok := k.(*xorKernel); !ok {
+			t.Fatalf("%s: implicit adjacency bound %v, want the XOR kernel", nw.Name(), k)
+		}
+		targets = append(targets, target{nw.Name() + "/implicit", nw, ca, k})
+	}
+	for _, tg := range targets {
+		g := tg.nw.Graph()
+		delta := tg.nw.Diagnosability()
 		for _, b := range syndrome.AllBehaviors(7) {
-			for _, f := range []int{1, delta, delta + 3} {
-				F := syndrome.RandomFaults(g.N(), f, rand.New(rand.NewSource(int64(g.N()*100+f))))
+			for _, f := range []int{1, delta, delta + 3, -delta} {
+				// f < 0: |f| faults with the seed among them.
+				F := syndrome.RandomFaults(g.N(), max(f, -f), rand.New(rand.NewSource(int64(g.N()*100+f))))
 				seed := int32(0)
-				for F.Contains(int(seed)) {
+				if f < 0 {
+					F.Add(0)
+				}
+				for f > 0 && F.Contains(int(seed)) {
 					seed++
 				}
 				sRef := syndrome.NewLazy(F, b)
 				ref := SetBuilder(g, sRef, seed, delta, nil)
 
 				sKer := syndrome.NewLazy(F, b)
-				got := k.run(NewScratch(g.N()), g, sKer, seed, delta)
+				got := tg.k.run(NewScratch(g.N()), tg.a, sKer, seed, delta)
 
 				if !ref.U.Equal(got.U) {
-					t.Fatalf("%s %s f=%d: U differs", nw.Name(), b.Name(), f)
+					t.Fatalf("%s %s f=%d: U differs", tg.name, b.Name(), f)
 				}
 				if !slices.Equal(ref.Parent, got.Parent) {
-					t.Fatalf("%s %s f=%d: Parent differs", nw.Name(), b.Name(), f)
+					t.Fatalf("%s %s f=%d: Parent differs", tg.name, b.Name(), f)
 				}
 				if !ref.Contributors.Equal(got.Contributors) {
-					t.Fatalf("%s %s f=%d: Contributors differ", nw.Name(), b.Name(), f)
+					t.Fatalf("%s %s f=%d: Contributors differ", tg.name, b.Name(), f)
 				}
 				if ref.Rounds != got.Rounds || ref.AllHealthy != got.AllHealthy {
-					t.Fatalf("%s %s f=%d: rounds/AllHealthy differ", nw.Name(), b.Name(), f)
+					t.Fatalf("%s %s f=%d: rounds/AllHealthy differ", tg.name, b.Name(), f)
 				}
 				if ref.Lookups != got.Lookups || sRef.Lookups() != sKer.Lookups() {
-					t.Fatalf("%s %s f=%d: lookups differ: %d vs %d", nw.Name(), b.Name(), f, got.Lookups, ref.Lookups)
+					t.Fatalf("%s %s f=%d: lookups differ: %d vs %d", tg.name, b.Name(), f, got.Lookups, ref.Lookups)
 				}
 			}
 		}
+	}
+}
+
+// TestFirstCondWord checks the owned-range start of a conditioned run
+// (roundRange) against a linear scan.
+func TestFirstCondWord(t *testing.T) {
+	for mask := uint32(0); mask < 64; mask++ {
+		for val := uint32(0); val < 64; val++ {
+			if val&^mask != 0 {
+				continue
+			}
+			for lo := uint32(0); lo < 70; lo++ {
+				want := lo
+				for want&mask != val {
+					want++
+				}
+				if got := firstCondWord(lo, mask, val); got != want {
+					t.Fatalf("firstCondWord(%d, %#x, %#x) = %d, want %d", lo, mask, val, got, want)
+				}
+			}
+		}
+	}
+	if got := firstCondWord(1<<31, 1<<31, 0); got != ^uint32(0) {
+		t.Fatalf("firstCondWord past the last match = %d, want none", got)
 	}
 }
 

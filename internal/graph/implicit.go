@@ -21,6 +21,14 @@ import (
 // buf[:0] reslicing, or an internal read-only view (the CSR
 // implementation does the latter); callers must treat the result as
 // invalid after the next call with the same buf and must not modify it.
+//
+// AppendNeighborsUnordered is the same contract without the order:
+// callers whose result cannot depend on neighbour order skip the sort.
+// CayleyAdjacency returns the set in generator order (the descriptor's
+// mask or generator order); the CSR view is ascending anyway. The final
+// pass's frontier-driven sweep rounds use it, since each frontier node
+// tests each of its non-member neighbours exactly once whatever the
+// order.
 type Adjacencer interface {
 	// N returns the number of nodes.
 	N() int
@@ -33,12 +41,21 @@ type Adjacencer interface {
 	// AppendNeighbors returns u's neighbours in ascending order, using
 	// buf as backing storage when the implementation generates them.
 	AppendNeighbors(u int32, buf []int32) []int32
+	// AppendNeighborsUnordered returns u's neighbours in an
+	// implementation-chosen order, under AppendNeighbors' buffer rules.
+	AppendNeighborsUnordered(u int32, buf []int32) []int32
 }
 
 // AppendNeighbors implements Adjacencer for the CSR graph: the returned
 // slice is the usual read-only view into the target array (buf is
 // ignored — no copy is ever made on the table-backed path).
 func (g *Graph) AppendNeighbors(u int32, buf []int32) []int32 {
+	return g.targets[g.offsets[u]:g.offsets[u+1]]
+}
+
+// AppendNeighborsUnordered implements Adjacencer: the CSR view, which
+// is ascending.
+func (g *Graph) AppendNeighborsUnordered(u int32, buf []int32) []int32 {
 	return g.targets[g.offsets[u]:g.offsets[u+1]]
 }
 
@@ -241,10 +258,28 @@ func (ca *CayleyAdjacency) MinDegree() int { return ca.deg }
 // ascending order into buf. Safe for concurrent use — all mutable state
 // is the caller's buffer and the stack.
 func (ca *CayleyAdjacency) AppendNeighbors(u int32, buf []int32) []int32 {
+	buf = ca.AppendNeighborsUnordered(u, buf)
+	for i := 1; i < len(buf); i++ {
+		// Insertion sort: degrees are small, a few dozen at most.
+		v := buf[i]
+		j := i
+		for ; j > 0 && buf[j-1] > v; j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = v
+	}
+	return buf
+}
+
+// AppendNeighborsUnordered implements Adjacencer: generates u's
+// neighbours into buf in generator order — the descriptor's mask or
+// generator order, not sorted. Safe for concurrent use, like
+// AppendNeighbors.
+func (ca *CayleyAdjacency) AppendNeighborsUnordered(u int32, buf []int32) []int32 {
 	buf = buf[:0]
 	if ca.masks != nil {
 		for _, m := range ca.masks {
-			buf = insertAscending(buf, u^m)
+			buf = append(buf, u^m)
 		}
 		return buf
 	}
@@ -266,22 +301,9 @@ func (ca *CayleyAdjacency) AppendNeighbors(u int32, buf []int32) []int32 {
 			}
 			v += (nd - digits[di]) * ca.strides[di]
 		}
-		buf = insertAscending(buf, v)
+		buf = append(buf, v)
 	}
 	return buf
-}
-
-// insertAscending inserts v into the sorted slice s (insertion sort —
-// degrees are small, a few dozen at most).
-func insertAscending(s []int32, v int32) []int32 {
-	s = append(s, v)
-	i := len(s) - 1
-	for i > 0 && s[i-1] > v {
-		s[i] = s[i-1]
-		i--
-	}
-	s[i] = v
-	return s
 }
 
 // FootprintBytes estimates the resident bytes of the implicit adjacency:

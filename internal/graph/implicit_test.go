@@ -31,7 +31,8 @@ func implicitTestDescriptors() map[string]CayleyDescriptor {
 // TestCayleyAdjacencyMatchesCSR pins the tentpole equivalence at the
 // graph layer: materialising the implicit adjacency into a CSR and
 // re-reading it must reproduce AppendNeighbors exactly — same nodes,
-// same strictly ascending order, same degrees — and the CSR must
+// same strictly ascending order, same degrees; AppendNeighborsUnordered
+// must yield the same set — and the CSR must
 // satisfy VerifyCayley against the original descriptor (the independent
 // edge-scan checker the engine trusts).
 func TestCayleyAdjacencyMatchesCSR(t *testing.T) {
@@ -67,6 +68,12 @@ func TestCayleyAdjacencyMatchesCSR(t *testing.T) {
 				}
 				if ca.Degree(u) != len(want) {
 					t.Fatalf("node %d: degree %d, csr %d", u, ca.Degree(u), len(want))
+				}
+				// Generator order: the same neighbours, unsorted.
+				buf = ca.AppendNeighborsUnordered(u, buf)
+				slices.Sort(buf)
+				if !slices.Equal(buf, want) {
+					t.Fatalf("node %d: unordered %v, csr %v", u, buf, want)
 				}
 			}
 		})

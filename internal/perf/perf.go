@@ -999,6 +999,12 @@ func Suite() *Report {
 		servedBatchCase(14, 8, true),
 		servedBatchCase(14, 8, false),
 	)
+	// The served implicit size (servebench's implicit-q18): the final
+	// pass is nearly the whole request here, so this is where XOR-kernel
+	// round overhead shows.
+	rep.Results = append(rep.Results,
+		implicitEngineDiagnoseCase(18),
+	)
 	return rep
 }
 
