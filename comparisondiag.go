@@ -4,14 +4,20 @@
 //	I. A. Stewart, "A general algorithm for detecting faults under the
 //	comparison diagnosis model", IPDPS 2010.
 //
-// The package re-exports the library's public surface from the internal
-// implementation packages:
+// The package re-exports, from the internal implementation packages,
+// the surface the examples and the paper's experiments use:
 //
 //   - interconnection-network construction (14 families of Section 5),
 //   - MM-model syndromes with pluggable faulty-tester behaviour,
 //   - the Set_Builder algorithm and the Theorem 1 Diagnose procedure,
+//     plus the bind-once Engine,
 //   - the Chiang–Tan and Yang baselines plus exact references,
-//   - a BSP simulator for the distributed protocols of the Conclusions.
+//   - the distributed protocols of the Conclusions on a BSP simulator,
+//   - one-port test scheduling and fault-injection campaigns.
+//
+// The serving stack — the HTTP service, churn rebinding, implicit
+// Cayley engines, result caches and the persistent campaign runtime —
+// is driven through cmd/diagnosed and cmd/diagnose (see docs/).
 //
 // Quick start:
 //
@@ -50,7 +56,6 @@ import (
 	"comparisondiag/internal/distsim"
 	"comparisondiag/internal/graph"
 	"comparisondiag/internal/schedule"
-	"comparisondiag/internal/serve"
 	"comparisondiag/internal/syndrome"
 	"comparisondiag/internal/topology"
 )
@@ -59,8 +64,10 @@ import (
 type (
 	// Graph is an immutable undirected graph over dense int32 node ids.
 	Graph = graph.Graph
-	// GraphBuilder accumulates edges for a Graph.
-	GraphBuilder = graph.Builder
+	// Adjacencer is the neighbour-enumeration interface the diagnosis
+	// layer runs against: a materialised *Graph (CSR) or an implicit
+	// descriptor-backed generator (see docs/scale.md).
+	Adjacencer = graph.Adjacencer
 	// FaultSet is a set of node ids (faulty processors).
 	FaultSet = bitset.Set
 	// Network is an interconnection network with diagnosis metadata.
@@ -71,17 +78,12 @@ type (
 	Syndrome = syndrome.Syndrome
 	// Behavior models the answers of faulty testers.
 	Behavior = syndrome.Behavior
-	// SyndromeTable is a fully materialised syndrome.
-	SyndromeTable = syndrome.Table
 	// Stats reports the cost profile of a Diagnose call.
 	Stats = core.Stats
 	// Options tunes Diagnose.
 	Options = core.Options
 	// SetBuilderResult is the outcome of one Set_Builder run.
 	SetBuilderResult = core.SetBuilderResult
-	// Scratch holds reusable hot-path buffers (see core.Scratch for the
-	// result-lifetime contract of scratch-backed calls).
-	Scratch = core.Scratch
 	// Engine is a diagnosis handle bound once to a network: partition,
 	// scratch pools and kernel selection are precomputed, then many
 	// syndromes are served with Diagnose/DiagnoseBatch.
@@ -90,93 +92,16 @@ type (
 	// Pool, hypothesis-grouped shared certification and shared
 	// final-prefix growth — see docs/runtime.md).
 	BatchOptions = core.BatchOptions
-	// BatchResult is one syndrome's outcome in a DiagnoseBatch call.
-	BatchResult = core.BatchResult
-	// BatchPool abstracts the worker pool DiagnoseBatch runs on;
-	// CampaignRuntime implements it with persistent workers.
-	BatchPool = core.BatchPool
-	// ResultCache memoises whole diagnosis outcomes per (hypothesis,
-	// behaviour, bound, strategy) — opt in via Options.ResultCache.
-	ResultCache = core.ResultCache
-	// CacheStats is a ResultCache observability snapshot.
-	CacheStats = core.CacheStats
 	// ExtendedStar is the Chiang–Tan Fig. 2 structure.
 	ExtendedStar = baseline.ExtendedStar
 	// DistStats reports the cost of a distributed protocol run.
 	DistStats = distsim.Stats
-	// CayleyDescriptor declares a network's algebraic adjacency
-	// structure; engines bind specialised final-pass kernels from it
-	// (see docs/kernels.md).
-	CayleyDescriptor = graph.CayleyDescriptor
-	// XORCayley declares N(u) = {u ⊕ m} over a mask set (hypercubes
-	// and their folded/enhanced/augmented variants).
-	XORCayley = graph.XORCayley
-	// AdditiveCayley declares the k-ary n-cube's ±1-per-digit
-	// generators.
-	AdditiveCayley = graph.AdditiveCayley
-	// MixedRadixCayley declares per-dimension arities and arbitrary
-	// digit-vector generators (augmented k-ary n-cubes).
-	MixedRadixCayley = graph.MixedRadixCayley
-	// CayleyStructured is the optional Network extension that declares
-	// a CayleyDescriptor.
-	CayleyStructured = topology.CayleyStructured
-	// Adjacencer is the neighbour-enumeration interface the diagnosis
-	// layer runs against: a materialised *Graph (CSR) or an implicit
-	// descriptor-backed generator (see docs/scale.md).
-	Adjacencer = graph.Adjacencer
-	// CayleyAdjacency generates a Cayley graph's adjacency on the fly
-	// from its descriptor — no CSR arrays, O(degree) working memory.
-	CayleyAdjacency = graph.CayleyAdjacency
 )
-
-// Churn tolerance: incremental rebinding, degraded-mode diagnosis and
-// the distsim fault-injection harness (see docs/churn.md).
-type (
-	// GraphRemoval is the delta of Graph.RemoveNodes/RemoveEdges: the
-	// compacted surviving component plus the old↔new id maps.
-	GraphRemoval = graph.Removal
-	// GraphGrowth is the gain-direction delta of RestoreGraph (or
-	// Graph.Flap): the regrown component, its id maps, and a Remaining
-	// removal for whatever is still missing.
-	GraphGrowth = graph.Growth
-	// GraphDelta is the sealed union of *GraphRemoval and *GraphGrowth
-	// accepted by Engine.Rebind and Engine.Survivor.
-	GraphDelta = graph.Delta
-	// RebindReport summarises one Engine.Rebind or Engine.Survivor
-	// derivation: node/edge losses, δ→δ′ descent or ascent, partition
-	// survival/re-growth, kernel fallback or promotion, and cache
-	// remapping.
-	RebindReport = core.RebindReport
-	// FaultPlan is a deterministic, seedable network fault-injection
-	// schedule for the BSP simulator (drops, duplicates, delays, slow
-	// links, node crashes).
-	FaultPlan = distsim.FaultPlan
-	// SlowLink declares a fixed extra delay on one edge of a FaultPlan.
-	SlowLink = distsim.SlowLink
-	// Crash silences one node from a given round on.
-	Crash = distsim.Crash
-	// Rejoin returns a crashed node to service from a given round on.
-	Rejoin = distsim.Rejoin
-	// RecoveryPlan schedules node re-joins against a FaultPlan's
-	// crashes (see CollectServer.ReplayRecovering).
-	RecoveryPlan = distsim.RecoveryPlan
-	// FaultStats counts a run's injected faults.
-	FaultStats = distsim.FaultStats
-	// FaultEvent is one injected fault in a run's replayable ledger.
-	FaultEvent = distsim.FaultEvent
-)
-
-// RestoreGraph re-admits removed nodes/edges into a removal's
-// survivor, producing the GraphGrowth that Engine.Rebind ascends with;
-// a full restore reproduces the original graph bit-identically.
-var RestoreGraph = graph.Restore
 
 // Faulty-tester behaviours (see syndrome.Behavior).
 type (
 	// AllZero vouches for everyone.
 	AllZero = syndrome.AllZero
-	// AllOne accuses everyone.
-	AllOne = syndrome.AllOne
 	// Mimic answers exactly like a healthy tester.
 	Mimic = syndrome.Mimic
 	// Inverted answers the opposite of the truth.
@@ -226,11 +151,6 @@ var (
 	// ParseNetwork builds a network from a spec like "q:10" or
 	// "kary:4,3"; see its documentation for the grammar.
 	ParseNetwork = topology.Parse
-	// ValidatePartition checks the Theorem 1 preconditions for a
-	// custom partition.
-	ValidatePartition = topology.ValidatePartition
-	// NetworkCatalog lists the supported families and their formulas.
-	NetworkCatalog = topology.Catalog
 )
 
 // Syndrome and fault-set helpers.
@@ -247,12 +167,8 @@ var (
 	NeighborhoodFaults = syndrome.NeighborhoodFaults
 	// NewLazySyndrome serves test results on demand from a fault set.
 	NewLazySyndrome = syndrome.NewLazy
-	// BuildSyndromeTable materialises a complete syndrome table.
-	BuildSyndromeTable = syndrome.BuildTable
 	// SyndromeTableSize is Σ_u C(deg(u), 2).
 	SyndromeTableSize = syndrome.TableSize
-	// SyndromeConsistent checks a fault hypothesis against a syndrome.
-	SyndromeConsistent = syndrome.Consistent
 	// AllBehaviors returns one instance of every faulty-tester model.
 	AllBehaviors = syndrome.AllBehaviors
 )
@@ -261,22 +177,6 @@ var (
 var (
 	// NewEngine binds an Engine to a network (bind once, diagnose many).
 	NewEngine = core.NewEngine
-	// NewGraphEngine binds an Engine to an explicit graph and partition.
-	NewGraphEngine = core.NewGraphEngine
-	// NewCayleyEngine binds an implicit engine straight from a
-	// CayleyDescriptor — no CSR is ever materialised, so million-node
-	// instances bind in the memory of their scratch buffers (see
-	// docs/scale.md).
-	NewCayleyEngine = core.NewCayleyEngine
-	// NewCayleyAdjacency compiles a CayleyDescriptor into an implicit
-	// Adjacencer (validating its shape, not its edges).
-	NewCayleyAdjacency = graph.NewCayleyAdjacency
-	// CayleyParts computes the Theorem 1 partition of a declared Cayley
-	// family from its coset structure — no edge scan, O(parts) memory.
-	CayleyParts = topology.CayleyParts
-	// CSRFootprintBytes estimates the CSR bytes an n-node m-edge graph
-	// materialises; compare CayleyAdjacency.FootprintBytes.
-	CSRFootprintBytes = graph.CSRFootprintBytes
 	// Diagnose solves the fault diagnosis problem (Theorem 1).
 	Diagnose = core.Diagnose
 	// DiagnoseOpts is Diagnose with explicit Options.
@@ -289,36 +189,6 @@ var (
 	DiagnoseAny = core.DiagnoseAny
 	// SetBuilder is the paper's Set_Builder(u0) procedure.
 	SetBuilder = core.SetBuilder
-	// SetBuilderInto is SetBuilder against a reusable Scratch: zero
-	// steady-state allocations; the result is a view into the scratch.
-	SetBuilderInto = core.SetBuilderInto
-	// SetBuilderParallel splits the growth rounds across workers for
-	// very large graphs — CSR or implicit adjacency alike; same tree,
-	// possibly more look-ups.
-	SetBuilderParallel = core.SetBuilderParallel
-	// NewScratch allocates hot-path buffers for graphs on n nodes.
-	NewScratch = core.NewScratch
-	// NewResultCache builds a bounded engine result cache (see
-	// docs/runtime.md).
-	NewResultCache = core.NewResultCache
-	// NewResultCacheWithAdmission is NewResultCache with an optional
-	// admit-on-second-sight admission policy (scan resistance; see
-	// docs/churn.md).
-	NewResultCacheWithAdmission = core.NewResultCacheWithAdmission
-	// NewResultCacheWithSketch is NewResultCache with count-min-sketch
-	// admission: a key is admitted after an estimated threshold
-	// sightings, with periodic counter aging (see docs/churn.md).
-	NewResultCacheWithSketch = core.NewResultCacheWithSketch
-	// ClampWorkers normalises a worker count against GOMAXPROCS.
-	ClampWorkers = core.ClampWorkers
-	// CertifyPart is the scan certificate for a partition cell.
-	CertifyPart = core.CertifyPart
-	// VerifyCayley checks a CayleyDescriptor against a graph's CSR
-	// adjacency; engines require this to pass before trusting a
-	// declaration (Engine.BindCayley runs it for you).
-	VerifyCayley = graph.VerifyCayley
-	// DetectXORCayley probes a raw graph for XOR-Cayley structure.
-	DetectXORCayley = graph.DetectXORCayley
 )
 
 // Baselines and references.
@@ -343,9 +213,6 @@ var (
 	RunWave = distsim.RunWave
 	// RunDistCT executes the distributed extended-star protocol.
 	RunDistCT = distsim.RunDistCT
-	// RunCentralCollect gathers the complete syndrome at node 0 and
-	// diagnoses centrally — the baseline the Conclusions argue against.
-	RunCentralCollect = distsim.RunCentralCollect
 )
 
 // Test scheduling (the Section 6 one-port cost model).
@@ -363,8 +230,6 @@ var (
 	NewTestRecorder = schedule.NewRecorder
 	// ScheduleTests greedily packs tests into one-port slots.
 	ScheduleTests = schedule.Greedy
-	// ScheduleLowerBound is the busiest-participant makespan bound.
-	ScheduleLowerBound = schedule.LowerBound
 	// FullSyndromeTests enumerates a graph's complete test set.
 	FullSyndromeTests = schedule.FullSyndromeTests
 )
@@ -375,50 +240,10 @@ type (
 	CampaignConfig = campaign.Config
 	// CampaignPoint aggregates outcomes at one fault count.
 	CampaignPoint = campaign.Point
-	// CampaignRuntime is the persistent batch-serving worker pool
-	// (pinned scratches and PRNGs, chunked trial queue); it implements
-	// BatchPool and drives SweepRuntime (see docs/runtime.md).
-	CampaignRuntime = campaign.Runtime
 )
 
 // CampaignSweep runs a fault-injection campaign against Diagnose.
 var CampaignSweep = campaign.Sweep
-
-// NewCampaignRuntime starts a persistent worker pool bound to an
-// engine; share it across sweeps and batches, Close when done.
-var NewCampaignRuntime = campaign.NewRuntime
-
-// NewShardedCampaignRuntime starts one worker group per engine
-// snapshot, so Q20-scale sweeps spread over several scratch pools and
-// binding snapshots; outcomes stay bit-identical across shard counts.
-var NewShardedCampaignRuntime = campaign.NewShardedRuntime
-
-// CampaignSweepRuntime is CampaignSweep on a caller-owned runtime.
-var CampaignSweepRuntime = campaign.SweepRuntime
-
-type (
-	// Service is the diagnosis-as-a-service HTTP front end behind
-	// cmd/diagnosed: an engine registry, per-engine request coalescing
-	// into grouped DiagnoseBatch calls, streaming campaigns, and a
-	// Prometheus /metrics exporter (see docs/service.md). It implements
-	// http.Handler.
-	Service = serve.Server
-	// ServiceConfig tunes a Service (registry cap, opt-in linger
-	// window, batch ceiling, per-engine cache and pool sizes; the pool
-	// size also caps concurrent batches).
-	ServiceConfig = serve.Config
-	// ServiceSnapshot is the programmatic form of /metrics.
-	ServiceSnapshot = serve.Snapshot
-)
-
-// NewService builds a diagnosis service from cfg (zero value =
-// defaults); serve it with any http.Server and stop it with Close.
-var NewService = serve.New
-
-// ParseBehavior resolves a behaviour name ("mimic", "allzero",
-// "allone", "inverted", "random") and seed to a Behavior — the parser
-// behind cmd/diagnose -behavior and the service's JSON requests.
-var ParseBehavior = syndrome.ParseBehavior
 
 // Sentinel errors re-exported for errors.Is checks.
 var (
@@ -427,10 +252,4 @@ var (
 	ErrNoPartition = topology.ErrNoPartition
 	// ErrNoHealthyPart: no candidate part certified fault-free.
 	ErrNoHealthyPart = core.ErrNoHealthyPart
-	// ErrTooManyFaults: the diagnosis exceeded the fault bound.
-	ErrTooManyFaults = core.ErrTooManyFaults
-	// ErrNoSurvivingPartition: churn left no partition satisfying the
-	// Theorem 1 preconditions even at δ′ = 0; the rebound engine holds
-	// no parts and Diagnose calls report this (wrapped).
-	ErrNoSurvivingPartition = core.ErrNoSurvivingPartition
 )

@@ -52,90 +52,6 @@ type ResultCache struct {
 	// admit an entry one sighting early, never corrupt a result.
 	admitOnSecond bool
 	seen          map[uint64]struct{}
-
-	// sketch generalises the admission gate to a frequency threshold: a
-	// count-min sketch over hypothesis keys estimates how often each
-	// has completed, and an insert is admitted only once the estimate
-	// reaches sketchThreshold sightings. Collisions can at worst admit
-	// early (count-min never under-estimates its own increments), never
-	// corrupt a result.
-	sketch          *cmSketch
-	sketchThreshold int
-}
-
-// cmSketch is a small count-min sketch with saturating byte counters:
-// cmRows rows of one power-of-two-wide counter array, indexed by
-// independent mixes of the entry hash. Periodic halving (every
-// width*cmAgeFactor increments) ages historic frequencies out, so a
-// hypothesis that stopped recurring eventually has to earn admission
-// again. Guarded by the cache mutex.
-type cmSketch struct {
-	counters [cmRows][]uint8
-	mask     uint64
-	adds     int
-	resets   int64
-}
-
-const (
-	cmRows      = 4
-	cmAgeFactor = 16
-)
-
-// newCMSketch sizes the sketch for a cache of the given capacity: 8
-// counters per row per cache slot (floor 256) keeps the collision rate
-// negligible for the admission use case at a few KiB per row.
-func newCMSketch(capacity int) *cmSketch {
-	width := 256
-	for width < 8*capacity {
-		width *= 2
-	}
-	s := &cmSketch{mask: uint64(width - 1)}
-	for r := range s.counters {
-		s.counters[r] = make([]uint8, width)
-	}
-	return s
-}
-
-// addEstimate records one sighting of hash h and returns the count-min
-// estimate including it, halving every counter first when the aging
-// window is up.
-func (s *cmSketch) addEstimate(h uint64) int {
-	if s.adds >= len(s.counters[0])*cmAgeFactor {
-		for r := range s.counters {
-			for i := range s.counters[r] {
-				s.counters[r][i] /= 2
-			}
-		}
-		s.adds = 0
-		s.resets++
-	}
-	s.adds++
-	est := int(^uint(0) >> 1)
-	x := h
-	for r := range s.counters {
-		// Distinct odd-multiplier mixes give the rows independent views
-		// of the same key (splitmix-style finalisation).
-		x = (x ^ (x >> 31)) * 0x9e3779b97f4a7c15
-		i := x & s.mask
-		if c := s.counters[r][i]; c < 255 {
-			s.counters[r][i] = c + 1
-		}
-		if v := int(s.counters[r][i]); v < est {
-			est = v
-		}
-	}
-	return est
-}
-
-// clear zeroes the sketch (on Rebind: frequencies in old-id space say
-// nothing about the new world).
-func (s *cmSketch) clear() {
-	for r := range s.counters {
-		for i := range s.counters[r] {
-			s.counters[r][i] = 0
-		}
-	}
-	s.adds = 0
 }
 
 // cacheEntry is one memoised diagnosis. All fields are immutable after
@@ -190,26 +106,6 @@ func NewResultCacheWithAdmission(capacity int, admitOnSecond bool) *ResultCache 
 	return c
 }
 
-// NewResultCacheWithSketch returns a cache whose admission is gated by
-// a count-min frequency sketch over hypothesis keys — the
-// generalisation of admit-on-second-sight to an arbitrary recurrence
-// threshold: a completed diagnosis is admitted only once its key has
-// been sighted at least threshold times (the current completion
-// included), so with threshold 2 the first sighting is declined like
-// admit-on-second-sight, and higher thresholds reserve the LRU for
-// genuinely hot hypotheses. Declined inserts count in
-// CacheStats.Bypassed; the sketch ages by periodic halving
-// (CacheStats.SketchResets) so cooled-off keys have to earn admission
-// again. threshold ≤ 1 admits everything, like NewResultCache.
-func NewResultCacheWithSketch(capacity, threshold int) *ResultCache {
-	c := NewResultCache(capacity)
-	if threshold > 1 {
-		c.sketch = newCMSketch(c.capacity)
-		c.sketchThreshold = threshold
-	}
-	return c
-}
-
 // seenBound caps the admission-policy sighting set at a multiple of the
 // cache capacity; past it the set is cleared wholesale (an O(1) reset
 // beats tracking per-key recency for what is only a heuristic).
@@ -220,14 +116,9 @@ func (c *ResultCache) seenBound() int { return 8 * c.capacity }
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 	// Bypassed counts completed diagnoses the admission policy declined
-	// to cache (first sightings under admit-on-second-sight,
-	// below-threshold sightings under the frequency sketch); always 0
+	// to cache (first sightings under admit-on-second-sight); always 0
 	// under the default admit-everything policy.
-	Bypassed int64
-	// SketchResets counts aging halvings of the frequency sketch
-	// (NewResultCacheWithSketch only); a growing value means the
-	// admission gate is live and recurrence is being re-earned.
-	SketchResets      int64
+	Bypassed          int64
 	Entries, Capacity int
 }
 
@@ -246,15 +137,11 @@ func (s CacheStats) HitRate() float64 {
 func (c *ResultCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := CacheStats{
+	return CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		Bypassed: c.bypassed,
 		Entries:  c.ll.Len(), Capacity: c.capacity,
 	}
-	if c.sketch != nil {
-		st.SketchResets = c.sketch.resets
-	}
-	return st
 }
 
 // cacheable reports whether the syndrome can act as a cache key: its
@@ -369,12 +256,6 @@ func (c *ResultCache) insert(lz *syndrome.Lazy, delta int, strat Strategy, epoch
 			return
 		}
 	}
-	if c.sketch != nil {
-		if c.sketch.addEstimate(h) < c.sketchThreshold {
-			c.bypassed++
-			return
-		}
-	}
 	for _, el := range c.byHash[h] {
 		old := el.Value.(*cacheEntry)
 		if old.delta == delta && old.strategy == strat && old.epoch == epoch && old.behavior == b && old.faults.Equal(e.faults) {
@@ -403,8 +284,8 @@ func (c *ResultCache) insert(lz *syndrome.Lazy, delta int, strat Strategy, epoch
 // cost profile (look-up counts, parts scanned) from before the churn,
 // with Delta/Degraded/EffectiveDelta rewritten to the new binding —
 // degraded reports the rebound engine's stamp, so a full recovery
-// clears the fields exactly as live diagnoses would. LRU order, the
-// admission sighting set and the frequency sketch are reset wholesale.
+// clears the fields exactly as live diagnoses would. LRU order and the
+// admission sighting set are reset wholesale.
 func (c *ResultCache) Rebind(oldToNew []int32, newN, oldDelta, newDelta int, epoch uint64, degraded bool) (flushed, kept int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -413,9 +294,6 @@ func (c *ResultCache) Rebind(oldToNew []int32, newN, oldDelta, newDelta int, epo
 	c.byHash = make(map[uint64][]*list.Element)
 	if c.seen != nil {
 		clear(c.seen)
-	}
-	if c.sketch != nil {
-		c.sketch.clear()
 	}
 	for el := oldLL.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)

@@ -14,15 +14,14 @@ import (
 )
 
 // TestDeltaCheckpointMatchesFullCopy pins the delta-encoded shared-final
-// checkpoint (the default since the sparse dirty-list layout landed)
-// against the pre-delta full-copy layout kept behind
-// BatchOptions.FullCheckpoint: on the same engine, hypothesis and
-// behaviour panel the two batches must agree member-for-member on fault
-// sets, errors, the whole Stats struct — including the SharedFinal*
-// adoption accounting — and the exact per-syndrome look-up counts.
-// Cases cover every final-pass driver (generic sweep, xor-cayley,
-// additive-rotate, mixed-radix) and the empty hypothesis whose prefix
-// is complete.
+// checkpoint against full, unshared runs of the paper-literal free
+// functions (checkSharedFinalGroup): on the same hypothesis and
+// behaviour panel every member must agree on fault sets, errors and the
+// shape of Stats, members must account the adopted prefix exactly
+// (own final + shared prefix = free final look-ups), and each syndrome
+// must be consulted exactly as often as its Stats report. Cases cover
+// every final-pass driver (generic sweep, xor-cayley, additive-rotate,
+// mixed-radix) and the empty hypothesis whose prefix is complete.
 func TestDeltaCheckpointMatchesFullCopy(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -40,41 +39,16 @@ func TestDeltaCheckpointMatchesFullCopy(t *testing.T) {
 			eng := NewEngine(tc.nw)
 			g := tc.nw.Graph()
 			rng := rand.New(rand.NewSource(41))
-			loads := [][]int{{0}, {1}, {tc.nw.Diagnosability()}}
+			loads := []int{0, 1, tc.nw.Diagnosability()}
 			for trial := 0; trial < 3; trial++ {
-				loads = append(loads, []int{1 + rng.Intn(tc.nw.Diagnosability())})
+				loads = append(loads, 1+rng.Intn(tc.nw.Diagnosability()))
 			}
 			for _, load := range loads {
-				F := syndrome.RandomFaults(g.N(), load[0], rng)
-				behaviors := sharedFinalBehaviors()
-				var sDelta, sFull []syndrome.Syndrome
-				for _, b := range behaviors {
-					sDelta = append(sDelta, syndrome.NewLazy(F, b))
-					sFull = append(sFull, syndrome.NewLazy(F, b))
-				}
-				base := BatchOptions{
-					ShareCertification: true, ShareFinalPrefix: true,
-					Options: Options{GenericFinal: tc.generic},
-				}
-				full := base
-				full.FullCheckpoint = true
-				got := eng.DiagnoseBatch(sDelta, base)
-				want := eng.DiagnoseBatch(sFull, full)
-				for i := range want {
-					if (got[i].Err == nil) != (want[i].Err == nil) {
-						t.Fatalf("|F|=%d member %d: err %v (delta) vs %v (full)", load[0], i, got[i].Err, want[i].Err)
-					}
-					if want[i].Err == nil && !got[i].Faults.Equal(want[i].Faults) {
-						t.Fatalf("|F|=%d member %d: fault sets differ between checkpoint layouts", load[0], i)
-					}
-					if got[i].Stats != want[i].Stats {
-						t.Fatalf("|F|=%d member %d: stats %+v (delta) vs %+v (full)", load[0], i, got[i].Stats, want[i].Stats)
-					}
-					if sDelta[i].Lookups() != sFull[i].Lookups() {
-						t.Fatalf("|F|=%d member %d: %d look-ups (delta) vs %d (full)",
-							load[0], i, sDelta[i].Lookups(), sFull[i].Lookups())
-					}
-				}
+				F := syndrome.RandomFaults(g.N(), load, rng)
+				checkSharedFinalGroup(t, tc.nw, eng, F, BatchOptions{
+					ShareCertification: true,
+					Options:            Options{GenericFinal: tc.generic},
+				})
 			}
 		})
 	}
@@ -82,12 +56,11 @@ func TestDeltaCheckpointMatchesFullCopy(t *testing.T) {
 
 // TestDeltaCheckpointGoldenCorpus replays every committed golden
 // fixture (testdata/golden: frozen topology + fault set + adversary,
-// including the empty hypothesis and the beyond-δ refusal) through
-// shared-final batches under both checkpoint layouts. Member 0 of each
-// batch runs the fixture's own adversary — its fault set (or pinned
-// refusal) must still match the corpus — and every member must be
-// bit-identical between the delta and full-copy encodings: fault sets,
-// whole Stats struct, per-syndrome look-up counts.
+// including the empty hypothesis and the beyond-δ refusal) through a
+// shared-final batch. Member 0 runs the fixture's own adversary — its
+// fault set (or pinned refusal) must still match the corpus — and
+// every member must meet the checkSharedFinalGroup contract against
+// the paper-literal free functions.
 func TestDeltaCheckpointGoldenCorpus(t *testing.T) {
 	files, err := filepath.Glob(goldenPath("*"))
 	if err != nil || len(files) == 0 {
@@ -110,37 +83,8 @@ func TestDeltaCheckpointGoldenCorpus(t *testing.T) {
 			}
 			n := nw.Graph().N()
 			F := bitset.FromMembers(n, fx.Faults)
-			eng := NewEngine(nw)
-			panel := func() []syndrome.Syndrome {
-				ss := []syndrome.Syndrome{
-					syndrome.NewLazy(F, goldenBehavior(fx.Behavior, fx.BehaviorSeed)),
-				}
-				for _, b := range sharedFinalBehaviors() {
-					ss = append(ss, syndrome.NewLazy(F, b))
-				}
-				return ss
-			}
-			sDelta, sFull := panel(), panel()
-			base := BatchOptions{ShareCertification: true, ShareFinalPrefix: true}
-			full := base
-			full.FullCheckpoint = true
-			got := eng.DiagnoseBatch(sDelta, base)
-			want := eng.DiagnoseBatch(sFull, full)
-			for i := range want {
-				if (got[i].Err == nil) != (want[i].Err == nil) {
-					t.Fatalf("member %d: err %v (delta) vs %v (full)", i, got[i].Err, want[i].Err)
-				}
-				if want[i].Err == nil && !got[i].Faults.Equal(want[i].Faults) {
-					t.Fatalf("member %d: fault sets differ between checkpoint layouts", i)
-				}
-				if got[i].Stats != want[i].Stats {
-					t.Fatalf("member %d: stats %+v (delta) vs %+v (full)", i, got[i].Stats, want[i].Stats)
-				}
-				if sDelta[i].Lookups() != sFull[i].Lookups() {
-					t.Fatalf("member %d: %d look-ups (delta) vs %d (full)",
-						i, sDelta[i].Lookups(), sFull[i].Lookups())
-				}
-			}
+			panel := append([]syndrome.Behavior{goldenBehavior(fx.Behavior, fx.BehaviorSeed)}, sharedFinalBehaviors()...)
+			got := checkSharedFinalPanel(t, nw, NewEngine(nw), F, BatchOptions{ShareCertification: true}, panel)
 			switch {
 			case fx.WantErr != "":
 				if got[0].Err == nil || !strings.Contains(got[0].Err.Error(), fx.WantErr) {
@@ -154,23 +98,4 @@ func TestDeltaCheckpointGoldenCorpus(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestFullCheckpointAgainstFreeFunctions runs the full-copy ablation
-// layout through the canonical shared-final contract checker, so both
-// checkpoint encodings — not just the default — stay pinned to the
-// paper-literal free functions.
-func TestFullCheckpointAgainstFreeFunctions(t *testing.T) {
-	nw := topology.NewHypercube(9)
-	g := nw.Graph()
-	eng := NewEngine(nw)
-	parts, err := eng.Parts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	center := parts[0].Seed ^ int32(g.N()-1)
-	F := syndrome.ClusterFaults(g, center, nw.Diagnosability())
-	checkSharedFinalGroup(t, nw, eng, F, BatchOptions{
-		ShareCertification: true, FullCheckpoint: true,
-	})
 }

@@ -552,15 +552,6 @@ type BatchOptions struct {
 	// FinalWorkers > 1 final passes (on graphs large enough to engage
 	// the parallel pass) record no checkpoint and members run in full.
 	ShareFinalPrefix bool
-	// FullCheckpoint makes ShareFinalPrefix checkpoints use the
-	// pre-delta dense layout: full copies of the U words and the whole
-	// parent array per group, restored wholesale per member. The default
-	// (false) records only the words and tree entries the prefix
-	// actually touched — O(touched + |U|) instead of O(n) per snapshot
-	// and restore, which is what keeps million-node batches affordable.
-	// Results and look-up counts are identical either way; the flag
-	// exists for the ablation benchmark and the bit-identity tests.
-	FullCheckpoint bool
 	// Options applies to every diagnosis in the batch. Scratch is
 	// ignored (workers bind their own); Workers inside Options still
 	// selects parallel part certification per syndrome and composes
@@ -695,7 +686,7 @@ func (e *Engine) diagnoseGrouped(b *binding, pool BatchPool, syndromes []syndrom
 		recFor = make(map[int]*finalPrefix)
 		for _, grp := range groups {
 			if len(grp.members) > 0 {
-				grp.fp = &finalPrefix{full: bopt.FullCheckpoint}
+				grp.fp = &finalPrefix{}
 				recFor[grp.rep] = grp.fp
 			}
 		}

@@ -39,30 +39,22 @@ import (
 // workers (phase B); the phases are separated by a pool barrier.
 // Encoding. U grows from empty (the caller resets the tree before the
 // pass), so the checkpoint state is fully described by the non-zero U
-// words and the parents of their set bits. The default layout is that
+// words and the parents of their set bits. The checkpoint is that
 // sparse delta encoding — dirtyIdx/dirtyW list the touched words,
 // parents packs the tree entries of their set bits in ascending node
 // order — which costs O(touched words + |U|) to record and restore
-// instead of the full-array O(n) copies per batch member. The pre-delta
-// full-copy layout (dense uw/parent snapshots) is kept behind
-// BatchOptions.FullCheckpoint as the ablation baseline.
+// instead of full-array O(n) copies per batch member.
 type finalPrefix struct {
 	valid    bool  // a checkpoint was recorded; members may resume
 	complete bool  // the whole pass was clean; members adopt everything
-	full     bool  // use the dense full-copy layout (ablation)
 	u0       int32 // seed the prefix grew from (resume sanity check)
 	rounds   int   // growth rounds contained in the prefix
 	lookups  int64 // syndrome consultations the prefix spent
 	uCount   int   // |U| at the checkpoint
 
-	// Delta layout (default): sparse dirty lists.
 	dirtyIdx []int32  // indices of non-zero U words, ascending
 	dirtyW   []uint64 // their word values
 	parents  []int32  // tree parents of the set bits, packed ascending
-
-	// Full-copy layout (full == true): dense snapshots.
-	uw     []uint64
-	parent []int32
 
 	frontier []int32 // round-start frontier at the boundary (sorted)
 
@@ -137,45 +129,36 @@ func (fp *finalPrefix) wordsHazardous(fw []uint64) bool {
 // comparison. frontier must be the (sorted) round-start frontier.
 func (fp *finalPrefix) snapshot(res *SetBuilderResult, frontier []int32, uCount, rounds int, lookups int64) {
 	uw := res.U.Words()
-	if fp.full {
-		if len(fp.uw) != len(uw) {
-			fp.uw = make([]uint64, len(uw))
-			fp.parent = make([]int32, len(res.Parent))
+	// Size the lists exactly before filling them: one popcount-free
+	// pass counts the dirty words, and uCount is the parent count, so
+	// recording costs at most two allocations sized to the boundary
+	// tree — no append-doubling churn, and nothing proportional to the
+	// graph.
+	nz := 0
+	for _, w := range uw {
+		if w != 0 {
+			nz++
 		}
-		copy(fp.uw, uw)
-		copy(fp.parent, res.Parent)
-	} else {
-		// Size the lists exactly before filling them: one popcount-free
-		// pass counts the dirty words, and uCount is the parent count,
-		// so recording costs at most two allocations sized to the
-		// boundary tree — no append-doubling churn, and nothing
-		// proportional to the graph.
-		nz := 0
-		for _, w := range uw {
-			if w != 0 {
-				nz++
-			}
+	}
+	if cap(fp.dirtyIdx) < nz {
+		fp.dirtyIdx = make([]int32, 0, nz)
+		fp.dirtyW = make([]uint64, 0, nz)
+	}
+	if cap(fp.parents) < uCount {
+		fp.parents = make([]int32, 0, uCount)
+	}
+	fp.dirtyIdx = fp.dirtyIdx[:0]
+	fp.dirtyW = fp.dirtyW[:0]
+	fp.parents = fp.parents[:0]
+	parent := res.Parent
+	for wi, w := range uw {
+		if w == 0 {
+			continue
 		}
-		if cap(fp.dirtyIdx) < nz {
-			fp.dirtyIdx = make([]int32, 0, nz)
-			fp.dirtyW = make([]uint64, 0, nz)
-		}
-		if cap(fp.parents) < uCount {
-			fp.parents = make([]int32, 0, uCount)
-		}
-		fp.dirtyIdx = fp.dirtyIdx[:0]
-		fp.dirtyW = fp.dirtyW[:0]
-		fp.parents = fp.parents[:0]
-		parent := res.Parent
-		for wi, w := range uw {
-			if w == 0 {
-				continue
-			}
-			fp.dirtyIdx = append(fp.dirtyIdx, int32(wi))
-			fp.dirtyW = append(fp.dirtyW, w)
-			for ; w != 0; w &= w - 1 {
-				fp.parents = append(fp.parents, parent[wi<<6+bits.TrailingZeros64(w)])
-			}
+		fp.dirtyIdx = append(fp.dirtyIdx, int32(wi))
+		fp.dirtyW = append(fp.dirtyW, w)
+		for ; w != 0; w &= w - 1 {
+			fp.parents = append(fp.parents, parent[wi<<6+bits.TrailingZeros64(w)])
 		}
 	}
 	fp.frontier = append(fp.frontier[:0], frontier...)
@@ -192,28 +175,23 @@ func (fp *finalPrefix) snapshotComplete(res *SetBuilderResult, uCount int, looku
 }
 
 // loadInto restores the checkpoint into a member's scratch-backed
-// result: U and the tree are copied and the round-start frontier is
-// copied into the scratch's frontier buffer. The caller must already
-// have called resetTree, so Parent entries outside U are -1 in
-// fp.parent and the straight copy is exact. The contributor set is
+// result: the dirty U words and their tree parents are written back and
+// the round-start frontier is copied into the scratch's frontier
+// buffer. The caller must already have called resetTree, so U is empty
+// and Parent is -1 outside the restored words. The contributor set is
 // NOT restored here: the word-kernel driver defers contributors and
 // rebuilds them from the final parents anyway, so only the generic
 // sweep (which tracks them live) calls restoreContributors.
 func (fp *finalPrefix) loadInto(sc *Scratch, res *SetBuilderResult) (frontier []int32) {
-	if fp.full {
-		copy(res.U.Words(), fp.uw)
-		copy(res.Parent, fp.parent)
-	} else {
-		uw := res.U.Words()
-		parent := res.Parent
-		pi := 0
-		for i, wi := range fp.dirtyIdx {
-			w := fp.dirtyW[i]
-			uw[wi] = w
-			for ; w != 0; w &= w - 1 {
-				parent[int32(wi)<<6+int32(bits.TrailingZeros64(w))] = fp.parents[pi]
-				pi++
-			}
+	uw := res.U.Words()
+	parent := res.Parent
+	pi := 0
+	for i, wi := range fp.dirtyIdx {
+		w := fp.dirtyW[i]
+		uw[wi] = w
+		for ; w != 0; w &= w - 1 {
+			parent[int32(wi)<<6+int32(bits.TrailingZeros64(w))] = fp.parents[pi]
+			pi++
 		}
 	}
 	return append(sc.frontier[:0], fp.frontier...)
@@ -223,16 +201,6 @@ func (fp *finalPrefix) loadInto(sc *Scratch, res *SetBuilderResult) (frontier []
 // the tree — the contributors are exactly the parents of admitted
 // nodes — and returns its count.
 func (fp *finalPrefix) restoreContributors(res *SetBuilderResult) int {
-	if fp.full {
-		for wi, w := range fp.uw {
-			for ; w != 0; w &= w - 1 {
-				if p := fp.parent[wi<<6+bits.TrailingZeros64(w)]; p >= 0 {
-					res.Contributors.Add(int(p))
-				}
-			}
-		}
-		return res.Contributors.Count()
-	}
 	for _, p := range fp.parents {
 		if p >= 0 {
 			res.Contributors.Add(int(p))

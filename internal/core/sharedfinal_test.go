@@ -33,7 +33,13 @@ func sharedFinalBehaviors() []syndrome.Behavior {
 //     whenever a non-empty prefix was shared.
 func checkSharedFinalGroup(t *testing.T, nw topology.Network, eng *Engine, F *bitset.Set, bopt BatchOptions) {
 	t.Helper()
-	behaviors := sharedFinalBehaviors()
+	checkSharedFinalPanel(t, nw, eng, F, bopt, sharedFinalBehaviors())
+}
+
+// checkSharedFinalPanel is checkSharedFinalGroup over an explicit
+// behaviour panel; it returns the batch results for further checks.
+func checkSharedFinalPanel(t *testing.T, nw topology.Network, eng *Engine, F *bitset.Set, bopt BatchOptions, behaviors []syndrome.Behavior) []BatchResult {
+	t.Helper()
 	var syns, refs []syndrome.Syndrome
 	for _, b := range behaviors {
 		syns = append(syns, syndrome.NewLazy(F, b))
@@ -100,6 +106,7 @@ func checkSharedFinalGroup(t *testing.T, nw topology.Network, eng *Engine, F *bi
 	if sharedAny && groupTotal >= freeTotal {
 		t.Fatalf("group total %d look-ups not below unshared total %d despite a shared prefix", groupTotal, freeTotal)
 	}
+	return results
 }
 
 // TestShareFinalPrefixAccounting pins the shared-final-prefix contract

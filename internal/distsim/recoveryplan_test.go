@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"comparisondiag/internal/bitset"
 	"comparisondiag/internal/syndrome"
 )
 
@@ -181,5 +182,42 @@ func TestRecoveringReplayNoRecMatchesFaulty(t *testing.T) {
 		if !reflect.DeepEqual(a.Events, b.Events) {
 			t.Fatalf("wave %d: event logs diverge", i)
 		}
+	}
+}
+
+// TestReplayNilFaultPlan pins the no-injection case: a nil fault plan,
+// with or without a recovery plan, collects every source and diagnoses
+// each wave's hypothesis exactly, under both replays.
+func TestReplayNilFaultPlan(t *testing.T) {
+	cs, nw := faultyFixture(t)
+	rng := rand.New(rand.NewSource(8))
+	var Fs []*bitset.Set
+	for i := 0; i < 3; i++ {
+		Fs = append(Fs, syndrome.RandomFaults(nw.Graph().N(), 1+rng.Intn(nw.Diagnosability()), rng))
+	}
+	syns := func() []syndrome.Syndrome {
+		var ss []syndrome.Syndrome
+		for _, F := range Fs {
+			ss = append(ss, syndrome.NewLazy(F, syndrome.Mimic{}))
+		}
+		return ss
+	}
+	rec := &RecoveryPlan{Rejoins: []Rejoin{{Node: 9, Round: 3}}}
+	for name, run := range map[string]func() []FaultyReplayResult{
+		"faulty":            func() []FaultyReplayResult { return cs.ReplayFaulty(syns(), nil, 4, nil) },
+		"recovering":        func() []FaultyReplayResult { return cs.ReplayRecovering(syns(), nil, nil, 4, nil) },
+		"recovering-rejoin": func() []FaultyReplayResult { return cs.ReplayRecovering(syns(), nil, rec, 4, nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			for i, r := range run() {
+				if r.Err != nil || r.Degraded || len(r.Missing) != 0 || r.Inject != (FaultStats{}) || len(r.Events) != 0 {
+					t.Fatalf("wave %d: err %v degraded %v missing %v inject %+v events %d, want a clean wave",
+						i, r.Err, r.Degraded, r.Missing, r.Inject, len(r.Events))
+				}
+				if !r.Faults.Equal(Fs[i]) {
+					t.Fatalf("wave %d: diagnosed %v, want %v", i, r.Faults, Fs[i])
+				}
+			}
+		})
 	}
 }

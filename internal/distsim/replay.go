@@ -153,7 +153,7 @@ func (r remappedSyndrome) Test(u, v, w int32) int {
 	return r.inner.Test(r.newToOld[u], r.newToOld[v], r.newToOld[w])
 }
 func (r remappedSyndrome) Lookups() int64 { return r.inner.Lookups() }
-func (r remappedSyndrome) ResetLookups() { r.inner.ResetLookups() }
+func (r remappedSyndrome) ResetLookups()  { r.inner.ResetLookups() }
 
 // ReplayFaulty is Replay under a network fault plan: each wave collects
 // through ResilientCollect (stop-and-wait hop acks, timeout
@@ -170,38 +170,9 @@ func (r remappedSyndrome) ResetLookups() { r.inner.ResetLookups() }
 // the same syndromes under the same plan reproduces every result —
 // fault sets, ledgers, events — bit-identically.
 func (cs *CollectServer) ReplayFaulty(syns []syndrome.Syndrome, plan *FaultPlan, retries int, cache *core.ResultCache) []FaultyReplayResult {
-	out := make([]FaultyReplayResult, len(syns))
-	var fullIdx []int
-	var fullSyns []syndrome.Syndrome
-	for i, s := range syns {
-		e := NewEngine(cs.g, 0)
+	return cs.replayWaves(syns, retries, cache, func(e *Engine, _ int) {
 		e.SetFaultPlan(plan)
-		rc := NewResilientCollect(e, cs.g, s, retries)
-		st, err := e.Run(rc, cs.maxRounds)
-		if st != nil {
-			out[i].Net = *st
-		}
-		out[i].Inject = e.FaultStats()
-		out[i].Events = e.FaultEvents()
-		out[i].Missing = rc.Missing()
-		// A round-limited run degrades like a lossy one: every source
-		// that did arrive is usable. err is deliberately not recorded.
-		_ = err
-		if len(out[i].Missing) == 0 {
-			fullIdx = append(fullIdx, i)
-			fullSyns = append(fullSyns, s)
-			continue
-		}
-		cs.degradedWave(&out[i], s)
-	}
-	batch := cs.rt.DiagnoseBatch(fullSyns, core.BatchOptions{Options: core.Options{ResultCache: cache}})
-	for k, r := range batch {
-		i := fullIdx[k]
-		out[i].Faults = r.Faults
-		out[i].Diag = r.Stats
-		out[i].Err = r.Err
-	}
-	return out
+	})
 }
 
 // ReplayRecovering is ReplayFaulty on the campaign's global round axis
@@ -214,7 +185,9 @@ func (cs *CollectServer) ReplayFaulty(syns []syndrome.Syndrome, plan *FaultPlan,
 // therefore serve degraded diagnoses and later waves upgrade to full
 // diagnosis as nodes re-join, on the same server, mid-campaign. With
 // every crash at round 0 and no rejoins the translation is the
-// identity, and the run is bit-identical to ReplayFaulty.
+// identity, and the run is bit-identical to ReplayFaulty; a crash at a
+// later round differs, since ReplayFaulty repeats it in every wave. A
+// nil plan injects no faults (rec is then moot), as in ReplayFaulty.
 func (cs *CollectServer) ReplayRecovering(syns []syndrome.Syndrome, plan *FaultPlan, rec *RecoveryPlan, retries int, cache *core.ResultCache) []FaultyReplayResult {
 	rejoinAt := map[int32]int{}
 	if rec != nil {
@@ -224,14 +197,14 @@ func (cs *CollectServer) ReplayRecovering(syns []syndrome.Syndrome, plan *FaultP
 			}
 		}
 	}
-	out := make([]FaultyReplayResult, len(syns))
-	var fullIdx []int
-	var fullSyns []syndrome.Syndrome
-	for i, s := range syns {
+	return cs.replayWaves(syns, retries, cache, func(e *Engine, wave int) {
+		if plan == nil {
+			return
+		}
 		wavePlan := *plan
 		wavePlan.Crashes = nil
 		var waveRec RecoveryPlan
-		base := i * cs.maxRounds
+		base := wave * cs.maxRounds
 		for _, c := range plan.Crashes {
 			eff := c.Round - base
 			if eff > cs.maxRounds {
@@ -245,26 +218,39 @@ func (cs *CollectServer) ReplayRecovering(syns []syndrome.Syndrome, plan *FaultP
 				if rjEff <= eff {
 					continue // rejoined before this wave saw it down
 				}
-				wavePlan.Crashes = append(wavePlan.Crashes, Crash{Node: c.Node, Round: eff})
 				if rjEff <= cs.maxRounds {
 					waveRec.Rejoins = append(waveRec.Rejoins, Rejoin{Node: c.Node, Round: rjEff})
 				}
-			} else {
-				wavePlan.Crashes = append(wavePlan.Crashes, Crash{Node: c.Node, Round: eff})
 			}
+			wavePlan.Crashes = append(wavePlan.Crashes, Crash{Node: c.Node, Round: eff})
 		}
-		e := NewEngine(cs.g, 0)
 		e.SetFaultPlan(&wavePlan)
 		e.SetRecoveryPlan(&waveRec)
+	})
+}
+
+// replayWaves is the wave loop behind ReplayFaulty and ReplayRecovering:
+// wave i collects syns[i] through ResilientCollect on a fresh engine
+// that arm(e, i) has armed with the wave's fault and recovery plans.
+// Waves with missing sources are diagnosed degraded on the spot; the
+// complete ones are diagnosed centrally in one batch.
+func (cs *CollectServer) replayWaves(syns []syndrome.Syndrome, retries int, cache *core.ResultCache, arm func(e *Engine, wave int)) []FaultyReplayResult {
+	out := make([]FaultyReplayResult, len(syns))
+	var fullIdx []int
+	var fullSyns []syndrome.Syndrome
+	for i, s := range syns {
+		e := NewEngine(cs.g, 0)
+		arm(e, i)
 		rc := NewResilientCollect(e, cs.g, s, retries)
-		st, err := e.Run(rc, cs.maxRounds)
+		// A round-limited run degrades like a lossy one: every source
+		// that did arrive is usable, so Run's error is not recorded.
+		st, _ := e.Run(rc, cs.maxRounds)
 		if st != nil {
 			out[i].Net = *st
 		}
 		out[i].Inject = e.FaultStats()
 		out[i].Events = e.FaultEvents()
 		out[i].Missing = rc.Missing()
-		_ = err // a round-limited run degrades like a lossy one
 		if len(out[i].Missing) == 0 {
 			fullIdx = append(fullIdx, i)
 			fullSyns = append(fullSyns, s)

@@ -526,12 +526,8 @@ func batchSharedCertCase(nw topology.Network, hyps int, share bool) Result {
 // scatter == true the hypotheses are uniform random fault sets, whose
 // hazard mask truncates the shareable prefix after a few rounds — the
 // boundary tree is a sliver of the graph, so the sparse dirty-list
-// checkpoint records kilobytes where the dense layout still copies full
-// per-node arrays. The `full` twin (share with
-// BatchOptions.FullCheckpoint) re-runs the identical shared batch on
-// the pre-delta dense layout: identical results and lookups/op, and on
-// the scatter pair the bytes/op gap is the delta encoding's win.
-func batchSharedFinalCase(nw topology.Network, hyps int, share, full, scatter bool) Result {
+// checkpoint records kilobytes rather than per-node arrays.
+func batchSharedFinalCase(nw topology.Network, hyps int, share, scatter bool) Result {
 	g := nw.Graph()
 	delta := nw.Diagnosability()
 	eng := core.NewEngine(nw)
@@ -581,10 +577,8 @@ func batchSharedFinalCase(nw topology.Network, hyps int, share, full, scatter bo
 	name := fmt.Sprintf("batchsharedfinal%s%d/%s", kind, total, nw.Name())
 	if !share {
 		name = fmt.Sprintf("batchsharedfinal%s%doff/%s", kind, total, nw.Name())
-	} else if full {
-		name = fmt.Sprintf("batchsharedfinal%sfull%d/%s", kind, total, nw.Name())
 	}
-	opt := core.BatchOptions{ShareCertification: share, ShareFinalPrefix: share, FullCheckpoint: full}
+	opt := core.BatchOptions{ShareCertification: share, ShareFinalPrefix: share}
 	op := func() int64 {
 		syns := make([]syndrome.Syndrome, 0, total)
 		for _, F := range faultSets {
@@ -948,8 +942,8 @@ func Suite() *Report {
 	// behaviour-independent final-prefix growth on top of the shared
 	// part scan (8 hypotheses × 8 adversaries).
 	rep.Results = append(rep.Results,
-		batchSharedFinalCase(topology.NewHypercube(14), 8, true, false, false),
-		batchSharedFinalCase(topology.NewHypercube(14), 8, false, false, false),
+		batchSharedFinalCase(topology.NewHypercube(14), 8, true, false),
+		batchSharedFinalCase(topology.NewHypercube(14), 8, false, false),
 	)
 	// PR 6: churn tolerance — a from-scratch bind of Q14, the
 	// incremental rebind after a 16-node removal (gated well under the
@@ -962,17 +956,12 @@ func Suite() *Report {
 	// PR 7: million-node implicit engines — the descriptor-bound Q20
 	// diagnose headline (0 allocs/op warm, no CSR), the implicit-vs-CSR
 	// Q14 pair (lookups/op bit-identical to enginediagnose/Q14), and the
-	// delta-vs-full checkpoint ablation: the far-cluster full twin (dense
-	// boundary tree, encodings cost alike) and the scattered-hypothesis
-	// pair, where the sparse dirty lists record the sliver-sized boundary
-	// tree and the dense layout still copies full per-node arrays —
-	// results and lookups identical across every twin.
+	// scattered-hypothesis shared batch, where the sparse dirty-list
+	// checkpoint records only the sliver-sized boundary tree.
 	rep.Results = append(rep.Results,
 		implicitEngineDiagnoseCase(14),
 		implicitEngineDiagnoseCase(20),
-		batchSharedFinalCase(topology.NewHypercube(14), 8, true, true, false),
-		batchSharedFinalCase(topology.NewHypercube(14), 8, true, false, true),
-		batchSharedFinalCase(topology.NewHypercube(14), 8, true, true, true),
+		batchSharedFinalCase(topology.NewHypercube(14), 8, true, true),
 	)
 	// PR 8: parallel million-node serving — the Q20 implicit final pass
 	// under a FinalWorkers fan-out (lookups/op bit-identical between the
@@ -1019,7 +1008,7 @@ func QuickSuite() *Report {
 		setBuilderCase(topology.NewHypercube(10)),
 		engineDiagnoseCase(topology.NewHypercube(10)),
 		batchRepeatCase(topology.NewHypercube(10), 16, 4, true),
-		batchSharedFinalCase(topology.NewHypercube(10), 2, true, false, false),
+		batchSharedFinalCase(topology.NewHypercube(10), 2, true, false),
 		campaignSweepCase(topology.NewHypercube(8), true),
 		graphBuildCase(10),
 		churnRebindCase(10, 4),

@@ -492,8 +492,12 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	// One SweepRuntime call per fault count: the per-trial seed formula
 	// depends only on (Seed, fault count, trial index), so the streamed
-	// points are bit-identical to a single whole-range sweep.
+	// points are bit-identical to a single whole-range sweep. A client
+	// that goes away stops the sweep at the next point.
 	for f := req.MinFaults; f <= req.MaxFaults; f++ {
+		if r.Context().Err() != nil {
+			return
+		}
 		pts := campaign.SweepRuntime(ent.rt, campaign.Config{
 			MinFaults: f, MaxFaults: f,
 			Trials:   req.Trials,

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -419,6 +420,62 @@ func TestCampaignStream(t *testing.T) {
 		t.Errorf("campaign counters = %d jobs / %d points, want 1 / %d",
 			snap.Campaigns, snap.CampaignPoints, len(want))
 	}
+}
+
+// cancelOnFlush cancels the request context once the handler has
+// flushed its first streamed line: a client hanging up mid-stream.
+type cancelOnFlush struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (w cancelOnFlush) Flush() {
+	w.ResponseRecorder.Flush()
+	w.cancel()
+}
+
+// TestCampaignStopsOnDisconnect pins that an abandoned campaign stops
+// sweeping: once the client's context is cancelled after the first
+// streamed point, no further point is swept, and the server still
+// answers /healthz and a normal diagnose exactly afterwards.
+func TestCampaignStopsOnDisconnect(t *testing.T) {
+	const spec = "q:8"
+	srv := New(Config{MaxBatch: 1, CacheCap: -1})
+	defer srv.Close()
+
+	body, _ := json.Marshal(CampaignRequest{Topology: spec, MinFaults: 0, MaxFaults: 10, Trials: 16, Behavior: "mimic", Seed: 7})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/campaign", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(cancelOnFlush{rec, cancel}, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if lines := strings.Count(rec.Body.String(), "\n"); lines != 1 {
+		t.Fatalf("streamed %d points after the client left, want 1", lines)
+	}
+	if snap := srv.Snapshot(); snap.Campaigns != 1 || snap.CampaignPoints != 1 {
+		t.Fatalf("campaign counters = %d jobs / %d points, want 1 / 1", snap.Campaigns, snap.CampaignPoints)
+	}
+
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("/healthz: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: status %d", resp.StatusCode)
+	}
+	F := bitset.FromMembers(256, []int32{3, 77})
+	code, dr := postDiagnose(t, ts.URL, DiagnoseRequest{Topology: spec, Faults: []int{3, 77}})
+	if code != http.StatusOK {
+		t.Fatalf("diagnose after abandoned campaign: status %d", code)
+	}
+	soloF, solo := soloDiagnose(t, spec, F, syndrome.Mimic{})
+	checkBitIdentical(t, "after abandoned campaign", dr, soloF, solo)
 }
 
 // TestImplicitServing pins descriptor-backed binding: an "implicit"

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: build, vet, full test suite (which includes
+# Tier-1 verification gate: build, vet, gofmt, full test suite (which includes
 # the differential, fuzz-seed-corpus and golden tiers — see
 # docs/testing.md), the race detector over the packages that exercise
 # concurrency (parallel part certification with sharded look-up
@@ -7,7 +7,7 @@
 # graph probes, the serve coalescer and its observability pollers,
 # syndrome shard and striped look-up counters),
 # and the perf-trajectory gate: every committed
-# BENCH_<n>.json — BENCH_14 being the latest — must not regress
+# BENCH_<n>.json — BENCH_15 being the latest — must not regress
 # lookups/op on any case shared with its predecessor, nor start
 # allocating on a case its predecessor ran at 0 allocs/op (both are
 # deterministic; ns/op and bytes/op are reported but not gated).
@@ -16,6 +16,7 @@ cd "$(dirname "$0")"
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test ./...
 go test -race ./internal/core/ ./internal/campaign/ ./internal/distsim/ ./internal/graph/ ./internal/serve/ ./internal/syndrome/
 
